@@ -10,12 +10,13 @@
 //!   scheduler elides. Results go to `BENCH_simperf.json`.
 //! * `--par` — the serial fast path vs the epoch-parallel scheduler under
 //!   both lookahead modes (`Global` = one min-latency horizon for every
-//!   lane, `Matrix` = per-pair horizons solved to a fixpoint) at 2 and 4
-//!   threads on a 4-worker multisite workload. Every run's `MachineReport`
-//!   JSON must be byte-identical — this is the `parcheck` gate in
-//!   `scripts/check.sh` — and the honest wall-clock numbers (with the
-//!   host's CPU count, which bounds any attainable speedup) go to
-//!   `BENCH_parsim.json`. A second, deliberately skewed scenario (one
+//!   lane, `Matrix` = per-pair horizons granted in one pass over cached
+//!   NoC latencies) at 2 and 4 threads on a 4-worker multisite workload.
+//!   Every run's `MachineReport` JSON must be byte-identical, and each
+//!   mode's epoch-round count must match across thread counts — this is
+//!   the `parcheck` gate in `scripts/check.sh` — and the honest
+//!   wall-clock numbers (with the host's CPU count, which bounds any
+//!   attainable speedup) go to `BENCH_parsim.json`. A second, deliberately skewed scenario (one
 //!   update-heavy worker, three near-idle peers across two chips) measures
 //!   what the matrix lookahead buys structurally: the epoch-round count,
 //!   which is thread-count-independent, must drop at least 5x vs the
@@ -309,6 +310,16 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
                 );
             }
         }
+    }
+
+    // Horizons depend only on the machine state at each barrier, never on
+    // which thread ran a lane, so round counts are thread-count-independent
+    // — a deterministic count, gated exactly.
+    for (mode, two, four) in [("global", &global2, &global4), ("matrix", &matrix2, &matrix4)] {
+        assert_eq!(
+            two.epoch_rounds, four.epoch_rounds,
+            "{mode} lookahead round count must not depend on the thread count"
+        );
     }
 
     // The structural win, independent of host CPU count: per-pair

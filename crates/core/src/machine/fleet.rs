@@ -98,7 +98,8 @@ use bionicdb_softcore::core::SoftcoreObs;
 use bionicdb_softcore::SoftcoreStats;
 
 use super::par::{
-    finish_lane, merge_traces, run_round, EpochCoordinator, Lane, LaneOut, RoundEntry, Step,
+    finish_lane, merge_traces, next_lane_event, run_round, EpochCoordinator, Lane, LaneOut,
+    RoundEntry, Step,
 };
 use super::Machine;
 use crate::worker::WorkerStats;
@@ -411,7 +412,7 @@ impl Chan {
 // ---------------------------------------------------------------------------
 // protocol messages
 
-/// One lane's snapshot in a `SyncAck`: everything `lane_next` needs,
+/// One lane's snapshot in a `SyncAck`: everything `next_lane_event` needs,
 /// evaluated chip-side at the sync cycle.
 struct LaneSync {
     worker_next: Option<u64>,
@@ -1087,24 +1088,16 @@ impl Machine {
         let links: Vec<EpochLink> = self.noc.begin_epoch();
         let init: Vec<(Option<u64>, bool, bool)> = (0..n)
             .map(|i| {
-                // `lane_next`, evaluated from the SyncAck snapshot.
                 let a = &acks[i];
                 let link_next = links[i].next_ready(start);
-                let hint = if link_next.is_none() && a.quiescent {
-                    None
-                } else if a.buffered {
-                    Some(start + 1)
-                } else {
-                    let mut best = a.worker_next;
-                    if let Some(t) = a.bank_next {
-                        let t = t.max(start + 1);
-                        best = Some(best.map_or(t, |b| b.min(t)));
-                    }
-                    if let Some(t) = link_next {
-                        best = Some(best.map_or(t, |b| b.min(t)));
-                    }
-                    best
-                };
+                let hint = next_lane_event(
+                    a.quiescent,
+                    a.buffered,
+                    a.worker_next,
+                    a.bank_next,
+                    link_next,
+                    start,
+                );
                 (hint, link_next.is_none(), a.quiescent)
             })
             .collect();

@@ -30,16 +30,17 @@
 //!    stats, and queue-high-water marks bit-identically — and routes the
 //!    resulting deliveries. Commits can raise bases (a drop fault removes
 //!    an arrival floor), so this loops to a fixpoint.
-//! 3. Earliest-action bounds are relaxed to a fixpoint:
-//!    `A_j = min(base_j, min_{k != j}(A_k + L(k, j)))` — the Bellman-Ford
-//!    step that catches *chains* (k wakes j cheaply, j wakes i cheaply,
-//!    even though k → i directly is expensive).
-//! 4. Per-lane horizon `H_i = min(floor_i, min_{j != i}(A_j + L(j, i))) - 1`
-//!    (capped): no send any lane can still make, and no send already
-//!    staged, can arrive at `i` at or before `H_i`. In
+//! 3. Per-lane horizon, one pass over cached latencies:
+//!    `H_i = min(floor_i, min_{k != i}(base_k + L(k, i)), base_i + RT_i) - 1`
+//!    (capped), `RT_i` being lane `i`'s cheapest round trip
+//!    ([`Noc::min_round_trip`]): no send any lane can still make, and no
+//!    send already staged, can arrive at `i` at or before `H_i`. *Chains*
+//!    (k wakes j, j sends on to i) need no iteration: the latency table is
+//!    a metric ([`Noc::min_latency`]), so no chain from `k != i` beats
+//!    `L(k, i)`, and `RT_i` bounds `i`'s own sends bouncing back. In
 //!    [`LookaheadMode::Global`] the horizon is instead the uniform
 //!    `GVT + Lmin - 1` — the PR-4 baseline, kept for `parcheck` diffing.
-//! 5. Every lane whose next action is `<= H_i` becomes a work item on a
+//! 4. Every lane whose next action is `<= H_i` becomes a work item on a
 //!    shared schedule; threads (the coordinator included) **claim lanes
 //!    dynamically** with an atomic cursor, so skewed workloads no longer
 //!    idle threads behind a static chunking. Each finished lane deposits
@@ -358,10 +359,11 @@ impl Drop for PanicGuard<'_> {
     }
 }
 
-/// The earliest cycle `> lane.pos` at which this lane has an event: its
-/// worker's own next event, its bank's next completion, or its queue
-/// front becoming deliverable — the per-worker slice of the serial
-/// scheduler's global `next_event`.
+/// The earliest cycle `> pos` at which a lane has an event: its worker's
+/// own next event (`worker_next`), its bank's next completion
+/// (`bank_next`), or its queue front becoming deliverable (`link_next`) —
+/// the per-worker slice of the serial scheduler's global `next_event`.
+/// Shared by live lanes ([`lane_next`]) and the fleet's sync snapshots.
 ///
 /// One deliberate asymmetry: a *quiescent* worker with no queued NoC
 /// deliveries never wakes for bank-only events. Those are orphan
@@ -373,23 +375,36 @@ impl Drop for PanicGuard<'_> {
 /// happens (here: only while the lane is otherwise active) is invisible.
 /// (Posted-write acknowledgements no longer reach this path at all: the
 /// banks cancel them at completion.)
-pub(crate) fn lane_next(lane: &Lane<'_>, link: &EpochLink) -> Option<u64> {
-    let link_next = link.next_ready(lane.pos);
-    if link_next.is_none() && lane.worker.is_quiescent() {
+pub(crate) fn next_lane_event(
+    quiescent: bool,
+    buffered: bool,
+    worker_next: Option<u64>,
+    bank_next: Option<u64>,
+    link_next: Option<u64>,
+    pos: u64,
+) -> Option<u64> {
+    if link_next.is_none() && quiescent {
         return None;
     }
-    if lane.bank.has_buffered_responses() {
-        return Some(lane.pos + 1);
+    if buffered {
+        return Some(pos + 1);
     }
-    let mut best = lane.worker.next_event(lane.pos);
-    if let Some(t) = lane.bank.next_event() {
-        let t = t.max(lane.pos + 1);
-        best = Some(best.map_or(t, |b| b.min(t)));
-    }
-    if let Some(t) = link_next {
-        best = Some(best.map_or(t, |b| b.min(t)));
-    }
-    best
+    [worker_next, bank_next.map(|t| t.max(pos + 1)), link_next]
+        .into_iter()
+        .flatten()
+        .min()
+}
+
+/// [`next_lane_event`] for a live in-process lane.
+pub(crate) fn lane_next(lane: &Lane<'_>, link: &EpochLink) -> Option<u64> {
+    next_lane_event(
+        lane.worker.is_quiescent(),
+        lane.bank.has_buffered_responses(),
+        lane.worker.next_event(lane.pos),
+        lane.bank.next_event(),
+        link.next_ready(lane.pos),
+        lane.pos,
+    )
 }
 
 /// Run one lane through one round: fast-forward from event to event,
@@ -580,13 +595,33 @@ pub(crate) enum Step {
     },
 }
 
+/// Lane `i`'s [`LookaheadMode::Matrix`] horizon (step 3 of the module
+/// docs), capped at `cap`, from every lane's `base` and `i`'s staged
+/// arrival `floor`.
+fn matrix_horizon(i: usize, base: &[Option<u64>], floor: Option<u64>, noc: &Noc, cap: u64) -> u64 {
+    let pid = |k: usize| PartitionId(k as u16);
+    let bounce = base[i]
+        .zip(noc.min_round_trip(pid(i)))
+        .map(|(b, rt)| b.saturating_add(rt));
+    let direct = (0..base.len())
+        .filter(|&k| k != i)
+        .filter_map(|k| base[k].map(|b| b.saturating_add(noc.min_latency(pid(k), pid(i)))));
+    floor
+        .into_iter()
+        .chain(bounce)
+        .chain(direct)
+        .min()
+        .map_or(cap, |b| b.saturating_sub(1))
+        .min(cap)
+}
+
 /// The coordinator-side scheduling brain of one epoch phase — GVT
-/// fixpoint, staged-send commits, Bellman-Ford earliest-action relaxation,
-/// per-lane horizon grants — with *no* opinion about how lanes actually
-/// execute. [`Machine::run_epochs`] drives it with scoped threads over
-/// in-process lanes; the fleet engine (`machine/fleet.rs`) drives the very
-/// same object over chip processes, which is what makes the two engines
-/// bit-identical by construction rather than by parallel maintenance.
+/// fixpoint, staged-send commits, one-pass per-lane horizon grants — with
+/// *no* opinion about how lanes actually execute. [`Machine::run_epochs`]
+/// drives it with scoped threads over in-process lanes; the fleet engine
+/// (`machine/fleet.rs`) drives the very same object over chip processes,
+/// which is what makes the two engines bit-identical by construction
+/// rather than by parallel maintenance.
 pub(crate) struct EpochCoordinator {
     n: usize,
     mode: LookaheadMode,
@@ -661,37 +696,35 @@ impl EpochCoordinator {
         std::mem::take(&mut self.slots)
     }
 
+    /// Lane `i`'s next *performable* action: its exit hint, or the front of
+    /// its routed deliveries once its queue has drained (arrival floors are
+    /// not performable until delivered).
+    fn next_action(&self, i: usize) -> Option<u64> {
+        let front = self.slots[i]
+            .first()
+            .filter(|_| self.drained[i])
+            .map(|&(arr, _)| arr.max(self.pos[i] + 1));
+        [self.hint[i], front].into_iter().flatten().min()
+    }
+
     /// Decide the next round: run the GVT fixpoint (committing staged
     /// sends below the bound until no commit can raise it), then either
     /// grant horizons and schedule every lane with work, or declare the
     /// phase over. See the module docs for the full argument.
     pub(crate) fn next_step(&mut self, merger: &mut EpochMerger, noc: &mut Noc) -> Step {
         let n = self.n;
-        let pid = |i: usize| PartitionId(i as u16);
         // ---- GVT fixpoint: commit staged sends below the bound until no
         // commit can raise it further ----
         let gvt = loop {
             let floors_now = merger.arrival_floors(noc);
-            let mut g: Option<u64> = None;
             for (i, &floor) in floors_now.iter().enumerate() {
-                let mut b = self.hint[i];
-                if self.drained[i] {
-                    if let Some(&(arr, _)) = self.slots[i].first() {
-                        let w = arr.max(self.pos[i] + 1);
-                        b = Some(b.map_or(w, |x| x.min(w)));
-                    }
-                }
-                if let Some(f) = floor {
-                    let w = f.max(self.pos[i] + 1);
-                    b = Some(b.map_or(w, |x| x.min(w)));
-                }
-                self.base[i] = b;
-                if let Some(t) = b {
-                    g = Some(g.map_or(t, |x| x.min(t)));
-                }
+                let floor = floor.map(|f| f.max(self.pos[i] + 1));
+                self.base[i] = [self.next_action(i), floor].into_iter().flatten().min();
             }
             self.floors = floors_now;
-            let Some(g) = g else { break None };
+            let Some(g) = self.base.iter().flatten().copied().min() else {
+                break None;
+            };
             let (deliv, committed) = merger.commit(noc, Some(g));
             for (w, d) in deliv.into_iter().enumerate() {
                 for (arr, pkt) in d {
@@ -736,70 +769,18 @@ impl EpochCoordinator {
             };
         };
 
-        // ---- earliest-action fixpoint (Bellman-Ford over the lookahead
-        // matrix): A_j bounds the earliest cycle lane j can still act —
-        // and therefore send — at, including being woken through a chain
-        // of nearer lanes ----
-        let mut act = self.base.clone();
-        if self.mode == LookaheadMode::Matrix {
-            loop {
-                let mut changed = false;
-                for j in 0..n {
-                    for k in 0..n {
-                        if k == j {
-                            continue;
-                        }
-                        if let Some(ak) = act[k] {
-                            let via = ak.saturating_add(noc.min_latency(pid(k), pid(j)));
-                            if act[j].is_none_or(|aj| via < aj) {
-                                act[j] = Some(via);
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-        }
-
         // ---- grant horizons, schedule lanes with work ----
         let mut lanes: Vec<RoundEntry> = Vec::new();
         for i in 0..n {
             let h = match self.mode {
-                LookaheadMode::Global => gvt.saturating_add(self.lmin - 1),
+                LookaheadMode::Global => gvt.saturating_add(self.lmin - 1).min(self.cap),
                 LookaheadMode::Matrix => {
-                    // No send any lane can still make, and no send already
-                    // staged, arrives at i by H_i.
-                    let mut bound = self.floors[i];
-                    for (j, aj) in act.iter().enumerate() {
-                        if j == i {
-                            continue;
-                        }
-                        if let Some(aj) = aj {
-                            let arr = aj.saturating_add(noc.min_latency(pid(j), pid(i)));
-                            bound = Some(bound.map_or(arr, |b| b.min(arr)));
-                        }
-                    }
-                    bound.map_or(self.cap, |b| b.saturating_sub(1))
+                    matrix_horizon(i, &self.base, self.floors[i], noc, self.cap)
                 }
-            }
-            .min(self.cap);
+            };
             debug_assert!(h >= gvt, "horizon below the GVT stalls the round");
-            // The lane's next *performable* action (arrival floors are not
-            // performable until delivered).
-            let mut na = self.hint[i];
-            if self.drained[i] {
-                if let Some(&(arr, _)) = self.slots[i].first() {
-                    let w = arr.max(self.pos[i] + 1);
-                    na = Some(na.map_or(w, |x| x.min(w)));
-                }
-            }
-            if let Some(t) = na {
-                if t <= h {
-                    lanes.push((i, h, std::mem::take(&mut self.slots[i])));
-                }
+            if self.next_action(i).is_some_and(|t| t <= h) {
+                lanes.push((i, h, std::mem::take(&mut self.slots[i])));
             }
         }
         debug_assert!(
@@ -1014,5 +995,103 @@ impl Machine {
         // simulator, not the machine.
         self.ticks_executed += total_ticks;
         self.epoch_rounds += rounds_done;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bionicdb_noc::Topology;
+    use proptest::prelude::*;
+
+    /// The per-round Bellman–Ford fixpoint the scheduler ran before the
+    /// one-pass grant, kept as the reference: relax earliest-action bounds
+    /// `A_j = min(base_j, min_{k != j}(A_k + L(k, j)))` until nothing
+    /// changes, then grant `H_i = min(floor_i, min_{j != i}(A_j + L(j, i))) - 1`,
+    /// capped.
+    fn fixpoint_horizons(
+        base: &[Option<u64>],
+        floors: &[Option<u64>],
+        noc: &Noc,
+        cap: u64,
+    ) -> Vec<u64> {
+        let n = base.len();
+        let pid = |i: usize| PartitionId(i as u16);
+        let mut act = base.to_vec();
+        loop {
+            let mut changed = false;
+            for j in 0..n {
+                for k in (0..n).filter(|&k| k != j) {
+                    if let Some(ak) = act[k] {
+                        let via = ak.saturating_add(noc.min_latency(pid(k), pid(j)));
+                        if act[j].is_none_or(|aj| via < aj) {
+                            act[j] = Some(via);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        (0..n)
+            .map(|i| {
+                let mut bound = floors[i];
+                for (j, aj) in act.iter().enumerate() {
+                    if let (true, Some(aj)) = (j != i, aj) {
+                        let arr = aj.saturating_add(noc.min_latency(pid(j), pid(i)));
+                        bound = Some(bound.map_or(arr, |b| b.min(arr)));
+                    }
+                }
+                bound.map_or(cap, |b| b.saturating_sub(1)).min(cap)
+            })
+            .collect()
+    }
+
+    fn opt_cycle() -> impl Strategy<Value = Option<u64>> {
+        prop_oneof![Just(None), (0u64..5_000).prop_map(Some)]
+    }
+
+    proptest! {
+        /// The one-pass horizon grant equals the Bellman–Ford fixpoint on
+        /// random bases and arrival floors (absent ones included) over every
+        /// topology family — the exactness the metric property buys.
+        #[test]
+        fn one_pass_horizons_match_fixpoint(
+            which in 0usize..4,
+            n in 1usize..12,
+            raw_hop in 0u64..8,
+            per in 1usize..5,
+            inter in 0u64..60,
+            base in prop::collection::vec(opt_cycle(), 11),
+            floors in prop::collection::vec(opt_cycle(), 11),
+            cap in prop_oneof![0u64..6_000, Just(u64::MAX - 1)],
+        ) {
+            let topology = match which {
+                0 => Topology::Crossbar,
+                1 => Topology::Ring,
+                2 => Topology::MultiChip {
+                    workers_per_node: per,
+                    inter_node_hops: inter,
+                },
+                _ => Topology::Fleet {
+                    workers_per_chip: per,
+                    neighbor_hops: inter,
+                },
+            };
+            let noc = Noc::new(topology, n, raw_hop);
+            let (base, floors) = (&base[..n], &floors[..n]);
+            let expect = fixpoint_horizons(base, floors, &noc, cap);
+            for (i, &h) in expect.iter().enumerate() {
+                prop_assert_eq!(
+                    matrix_horizon(i, base, floors[i], &noc, cap),
+                    h,
+                    "lane {} under {:?}",
+                    i,
+                    topology
+                );
+            }
+        }
     }
 }

@@ -232,6 +232,8 @@ pub struct Noc {
     /// (`min over src != dst of pair_latency[src][dst]`); the one-worker
     /// degenerate case falls back to `hop_latency`.
     min_incoming: Vec<u64>,
+    /// Cached per-worker cheapest round trip (see [`Noc::min_round_trip`]).
+    round_trip: Vec<Option<u64>>,
 }
 
 impl Noc {
@@ -252,6 +254,14 @@ impl Noc {
                     .unwrap_or(hop_latency)
             })
             .collect();
+        let round_trip = (0..n)
+            .map(|w| {
+                (0..n)
+                    .filter(|&j| j != w)
+                    .map(|j| pair_latency[w * n + j] + pair_latency[j * n + w])
+                    .min()
+            })
+            .collect();
         Noc {
             topology,
             hop_latency,
@@ -265,6 +275,7 @@ impl Noc {
             sends_seen: 0,
             pair_latency,
             min_incoming,
+            round_trip,
         }
     }
 
@@ -292,8 +303,19 @@ impl Noc {
     /// [`Noc::latency`], but it is read from the matrix built at
     /// construction so the epoch scheduler's per-barrier O(n²) horizon
     /// computation never re-derives topology math.
+    /// Over distinct workers the table is a **metric**, i.e.
+    /// `L(a, c) <= L(a, b) + L(b, c)`: no relay beats the direct path. The
+    /// epoch scheduler relies on this to grant horizons in one pass instead
+    /// of a shortest-path fixpoint; a new topology must keep it.
     pub fn min_latency(&self, src: PartitionId, dst: PartitionId) -> u64 {
         self.pair_latency[src.0 as usize * self.n + dst.0 as usize]
+    }
+
+    /// Cached cheapest round trip `min over j != w of min_latency(w, j) +
+    /// min_latency(j, w)`: how soon a send from `w` can echo back into `w`.
+    /// `None` for a single-worker interconnect, which has no partner.
+    pub fn min_round_trip(&self, w: PartitionId) -> Option<u64> {
+        self.round_trip[w.0 as usize]
     }
 
     /// Cached minimum latency of any message *into* `dst` from another
@@ -1367,12 +1389,15 @@ mod tests {
 
     proptest! {
         /// The lookahead caches (`pair_latency` matrix, `min_incoming` row
-        /// minima, `min_hop_latency` global minimum) are built once at
-        /// construction and then trusted by the epoch scheduler's horizon
-        /// math. Pin them to freshly recomputed topology math across random
-        /// configurations of every topology family, so the cache and the
-        /// definition can never drift apart again (the `min_incoming`
-        /// doc/definition mismatch this closes was exactly such a drift).
+        /// minima, `min_hop_latency` global minimum, `round_trip` minima)
+        /// are built once at construction and then trusted by the epoch
+        /// scheduler's horizon math. Pin them to freshly recomputed
+        /// topology math across random configurations of every topology
+        /// family, so the cache and the definition can never drift apart
+        /// again (the `min_incoming` doc/definition mismatch this closes
+        /// was exactly such a drift). Also pin the triangle inequality over
+        /// distinct workers: the one-pass horizon grant is exact only while
+        /// every topology's latency table is a metric.
         #[test]
         fn lookahead_caches_match_recomputed_topology_math(
             which in 0usize..4,
@@ -1420,6 +1445,32 @@ mod tests {
                 global_min = global_min.min(expect);
             }
             prop_assert_eq!(noc.min_hop_latency(), global_min, "global {:?}", topology);
+            let pid = |w: usize| PartitionId(w as u16);
+            for w in 0..n {
+                let fresh = (0..n)
+                    .filter(|&j| j != w)
+                    .map(|j| {
+                        (topology.hops_between(n, w, j) + topology.hops_between(n, j, w)) * hop
+                    })
+                    .min();
+                prop_assert_eq!(noc.min_round_trip(pid(w)), fresh, "round trip {:?}", topology);
+            }
+            // The metric property the one-pass horizon grant relies on.
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    for c in (0..n).filter(|&c| c != a && c != b) {
+                        prop_assert!(
+                            noc.min_latency(pid(a), pid(c))
+                                <= noc.min_latency(pid(a), pid(b)) + noc.min_latency(pid(b), pid(c)),
+                            "triangle {} -> {} -> {} under {:?}",
+                            a,
+                            b,
+                            c,
+                            topology
+                        );
+                    }
+                }
+            }
         }
     }
 
