@@ -16,7 +16,8 @@
 //!   mode's epoch-round count must match across thread counts — this is
 //!   the `parcheck` gate in `scripts/check.sh` — and the honest
 //!   wall-clock numbers (with the host's CPU count, which bounds any
-//!   attainable speedup) go to `BENCH_parsim.json`. A second, deliberately skewed scenario (one
+//!   attainable speedup, and each run's coordinator host-time split) go
+//!   to `BENCH_parsim.json`. A second, deliberately skewed scenario (one
 //!   update-heavy worker, three near-idle peers across two chips) measures
 //!   what the matrix lookahead buys structurally: the epoch-round count,
 //!   which is thread-count-independent, must drop at least 5x vs the
@@ -30,7 +31,7 @@
 
 use std::time::Instant;
 
-use bionicdb::{BionicConfig, ExecMode, LaneActivity, LookaheadMode, Topology};
+use bionicdb::{BionicConfig, EpochHostTime, ExecMode, LaneActivity, LookaheadMode, Topology};
 use bionicdb_bench::history::{self, Entry};
 use bionicdb_bench::json::JsonOut;
 use bionicdb_bench::{rng, ArgSpec, BenchArgs};
@@ -101,6 +102,9 @@ struct ParRun {
     /// Posted-write DRAM acks cancelled instead of delivered to workers
     /// that had already retired the write.
     cancelled_acks: u64,
+    /// Where the coordinator's wall time went (all zeros for the serial
+    /// run).
+    host: EpochHostTime,
 }
 
 /// Run the 4-worker multisite wave at a given sim-thread count and
@@ -154,6 +158,7 @@ fn measure_par(threads: usize, mode: LookaheadMode, txns_per_worker: usize) -> P
         lanes: y.machine.lane_activity().to_vec(),
         epoch_rounds: y.machine.epoch_rounds(),
         cancelled_acks: y.machine.cancelled_write_acks(),
+        host: y.machine.epoch_host_time(),
     }
 }
 
@@ -219,6 +224,7 @@ fn measure_skew(threads: usize, mode: LookaheadMode, hot: usize, light: usize) -
         lanes: y.machine.lane_activity().to_vec(),
         epoch_rounds: y.machine.epoch_rounds(),
         cancelled_acks: y.machine.cancelled_write_acks(),
+        host: y.machine.epoch_host_time(),
     }
 }
 
@@ -242,6 +248,21 @@ fn push_lane_json(out: &mut String, lanes: &[LaneActivity]) {
         ));
     }
     out.push_str("  ]");
+}
+
+/// The coordinator's host-time split as a JSON object, in seconds.
+fn host_json(h: &EpochHostTime) -> String {
+    let s = |ns: u64| ns as f64 / 1e9;
+    format!(
+        "{{ \"total_s\": {:.6}, \"next_step_s\": {:.6}, \"release_wait_s\": {:.6}, \
+         \"lane_work_s\": {:.6}, \"all_in_wait_s\": {:.6}, \"fold_s\": {:.6} }}",
+        s(h.total_ns),
+        s(h.next_step_ns),
+        s(h.release_wait_ns),
+        s(h.lane_work_ns),
+        s(h.all_in_wait_ns),
+        s(h.fold_ns)
+    )
 }
 
 /// The `--par` study: serial fast path vs epoch-parallel under both
@@ -293,6 +314,9 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
             run.m.wall_secs,
             run.epoch_rounds
         );
+        if run.host.total_ns > 0 {
+            println!("           coordinator: {}", host_json(&run.host));
+        }
         // Per-lane load balance: component ticks actually executed vs
         // cycles fast-forwarded over, per worker lane (epoch runs only —
         // the serial schedule does not maintain lane counters).
@@ -381,13 +405,13 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
     if !quick && host_cpus >= 4 {
         assert!(
             best_matrix > 2.0,
-            "matrix lookahead + work stealing must beat serial by >2x on a \
+            "matrix lookahead on contiguous lane slices must beat serial by >2x on a \
              {host_cpus}-CPU host (got {best_matrix:.2}x)"
         );
     } else if !quick && host_cpus >= 2 {
         assert!(
             best_matrix > 1.0,
-            "matrix lookahead + work stealing must beat serial on a \
+            "matrix lookahead on contiguous lane slices must beat serial on a \
              {host_cpus}-CPU host (got {best_matrix:.2}x)"
         );
     } else {
@@ -414,10 +438,11 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
     for ((label, run), (_, speedup)) in runs.into_iter().zip(speedups) {
         let key = label.replace(" x", "");
         json.push_str(&format!(
-            "  \"{key}\": {{ \"wall_secs\": {:.6}, \"cycles_per_sec\": {:.0}, \"speedup\": {speedup:.3}, \"epoch_rounds\": {} }},\n",
+            "  \"{key}\": {{ \"wall_secs\": {:.6}, \"cycles_per_sec\": {:.0}, \"speedup\": {speedup:.3}, \"epoch_rounds\": {}, \"coordinator\": {} }},\n",
             run.m.wall_secs,
             run.m.cycles_per_sec(),
-            run.epoch_rounds
+            run.epoch_rounds,
+            host_json(&run.host)
         ));
     }
     json.push_str(&format!(
@@ -461,6 +486,20 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
     jout.value_row("global4_cycles_per_sec", global4.m.cycles_per_sec());
     jout.value_row("matrix4_cycles_per_sec", matrix4.m.cycles_per_sec());
     jout.value_row("speedup_matrix4", speedups[3].1);
+    for (label, run) in [("matrix2", &matrix2), ("matrix4", &matrix4)] {
+        let h = &run.host;
+        let parts = [
+            ("total", h.total_ns),
+            ("next_step", h.next_step_ns),
+            ("release_wait", h.release_wait_ns),
+            ("lane_work", h.lane_work_ns),
+            ("all_in_wait", h.all_in_wait_ns),
+            ("fold", h.fold_ns),
+        ];
+        for (part, ns) in parts {
+            jout.value_row(&format!("{label}_coord_{part}_s"), ns as f64 / 1e9);
+        }
+    }
     jout.value_row("skew_global_rounds", skew_global.epoch_rounds as f64);
     jout.value_row("skew_matrix_rounds", skew_matrix.epoch_rounds as f64);
     for (w, lane) in matrix4.lanes.iter().enumerate() {

@@ -57,7 +57,7 @@ pub mod worker;
 
 pub use config::{BionicConfig, NocRetryConfig};
 pub use machine::{
-    LaneActivity, LookaheadMode, Machine, MachineStats, RetryBudget, RetryOutcome, SystemBuilder,
+    EpochHostTime, LaneActivity, LookaheadMode, Machine, MachineStats, RetryBudget, RetryOutcome, SystemBuilder,
 };
 pub use recovery::{Checkpoint, CommandLog, DurableImage, LogRecord, RecoveryError};
 pub use report::{MachineReport, WorkerReport};

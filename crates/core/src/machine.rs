@@ -141,6 +141,7 @@ impl SystemBuilder {
             ticks_executed: 0,
             lane_activity,
             epoch_rounds: 0,
+            epoch_host_time: EpochHostTime::default(),
             lookahead_mode: LookaheadMode::default(),
             fault_plan: FaultPlan::none(),
             crashed: false,
@@ -256,12 +257,12 @@ pub struct LaneActivity {
     /// Cycles this lane fast-forwarded over instead of ticking.
     pub skips: u64,
     /// Epoch rounds in which this lane was scheduled (had work below its
-    /// horizon). Unscheduled rounds cost the lane nothing — the work-
-    /// stealing scheduler never locks an idle lane.
+    /// horizon). Unscheduled rounds cost the lane nothing — no thread
+    /// locks an idle lane.
     pub rounds: u64,
     /// Wall-clock nanoseconds between this lane finishing its round and
-    /// the round's barrier releasing — the skew the work-stealing
-    /// scheduler exists to shrink. Wall-clock, hence nondeterministic;
+    /// the round's barrier releasing — the skew between the threads'
+    /// contiguous lane slices. Wall-clock, hence nondeterministic;
     /// everything the machine observes stays bit-exact regardless.
     pub barrier_idle_ns: u64,
     /// Distribution of this lane's epoch lengths (cycles between its
@@ -278,6 +279,42 @@ impl LaneActivity {
             barrier_idle_ns: 0,
             epoch_len: bionicdb_fpga::obs::LatencyHistogram::new(),
         }
+    }
+}
+
+/// Where the coordinator's host wall time went in the epoch-parallel
+/// phases, summed over every `run_epochs` call. The five parts are
+/// consecutive laps of one clock, so they sum exactly to `total_ns`.
+/// Simulator measurements, like [`LaneActivity`]: surfaced only by tooling
+/// (`simperf --par`).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct EpochHostTime {
+    /// Scheduling each round: the GVT fixpoint, staged-send commits and
+    /// horizon grants, plus publishing the schedule.
+    pub next_step_ns: u64,
+    /// Waiting at the barrier to release a round.
+    pub release_wait_ns: u64,
+    /// Running the coordinator's own slice of lanes.
+    pub lane_work_ns: u64,
+    /// Waiting at the barrier for every other thread's slice.
+    pub all_in_wait_ns: u64,
+    /// Absorbing lane reports and folding their traffic and traces, plus
+    /// each phase's set-up and tear-down.
+    pub fold_ns: u64,
+    /// Wall time inside the epoch-parallel phases.
+    pub total_ns: u64,
+}
+
+impl EpochHostTime {
+    /// The five parts, in round order.
+    pub fn parts_ns(&self) -> [u64; 5] {
+        [
+            self.next_step_ns,
+            self.release_wait_ns,
+            self.lane_work_ns,
+            self.all_in_wait_ns,
+            self.fold_ns,
+        ]
     }
 }
 
@@ -315,6 +352,9 @@ pub struct Machine {
     /// simulated span means longer epochs and less synchronization.
     /// Simulator instrumentation, like `ticks_executed`.
     epoch_rounds: u64,
+    /// Host wall-time split of the epoch-parallel phases. Simulator
+    /// instrumentation, like `lane_activity`.
+    epoch_host_time: EpochHostTime,
     /// Horizon derivation for the epoch-parallel scheduler.
     lookahead_mode: LookaheadMode,
     /// The installed fault schedule (its NoC/DRAM parts are distributed to
@@ -842,6 +882,14 @@ impl Machine {
     /// far. Simulator instrumentation, not machine state.
     pub fn epoch_rounds(&self) -> u64 {
         self.epoch_rounds
+    }
+
+    /// Where the epoch-parallel scheduler's coordinator spent its host wall
+    /// time so far ([`EpochHostTime`]). All zeros until an in-process
+    /// epoch-parallel phase has run. Simulator instrumentation, not machine
+    /// state.
+    pub fn epoch_host_time(&self) -> EpochHostTime {
+        self.epoch_host_time
     }
 
     /// Posted-write acknowledgements the DRAM banks cancelled at

@@ -53,7 +53,7 @@
 //! * **Merge order.** A chip folds its scheduled lanes' traffic and trace
 //!   in ascending lane order; the coordinator folds chip replies in
 //!   ascending chip order. Both merges are the order-preserving ones the
-//!   in-process combining tree uses, so the result equals the serial
+//!   in-process lane-order fold uses, so the result equals the serial
 //!   concatenation either way.
 //! * **Statistics.** Worker/bank counters live in the chip processes; the
 //!   coordinator keeps a [`WorkerSlice`] cache per worker, refreshed from

@@ -40,13 +40,22 @@
 //!    `L(k, i)`, and `RT_i` bounds `i`'s own sends bouncing back. In
 //!    [`LookaheadMode::Global`] the horizon is instead the uniform
 //!    `GVT + Lmin - 1` — the PR-4 baseline, kept for `parcheck` diffing.
-//! 4. Every lane whose next action is `<= H_i` becomes a work item on a
-//!    shared schedule; threads (the coordinator included) **claim lanes
-//!    dynamically** with an atomic cursor, so skewed workloads no longer
-//!    idle threads behind a static chunking. Each finished lane deposits
-//!    its round traffic and trace into a **combining tree** whose nodes
-//!    merge pairwise, in parallel, with order-preserving merges — the
-//!    root is deterministic regardless of thread interleaving.
+//!    The pass is grouped by **island** ([`Noc::island_of`]): latency is
+//!    uniform inside an island and between any two islands, so one
+//!    per-island `(min, argmin, second-min)` of `base` answers every lane's
+//!    `min_{k != i}` in O(islands), and a round costs O(n + islands²)
+//!    rather than O(n²). A crossbar is one island and each chip of a
+//!    MultiChip or Fleet is one; on a ring every worker is its own, which
+//!    is the plain pairwise pass.
+//! 4. Every lane whose next action is `<= H_i` goes on the round's
+//!    schedule, in lane order. Sim thread `t` of `T` (the coordinator is
+//!    `t = 0`) runs the contiguous slice `[⌈t·len/T⌉, ⌈(t+1)·len/T⌉)` of it, so
+//!    lanes stay on one thread from round to round and slice sizes stay
+//!    even however skewed the load. A lane reports its round traffic and
+//!    trace only when they are non-empty (in most lane-rounds they are
+//!    empty), and the coordinator folds the reports in schedule order with
+//!    order-preserving merges — the serial `(cycle, lane)` order, whatever
+//!    slice each thread ran.
 //!
 //! Trace events drain to the sink only below the GVT (their serial order
 //! is then final); the remainder drains at epoch end. When the GVT passes
@@ -61,8 +70,8 @@
 //!   have given its components an event; ticking an event-free cycle is
 //!   `skip(1)` per the PR-1 fast-forward contract, so per-worker state is
 //!   bit-identical. An unscheduled lane is equivalent to a scheduled lane
-//!   with nothing to do (zero ticks, unchanged hint), so dynamic
-//!   scheduling is bit-inert.
+//!   with nothing to do (zero ticks, unchanged hint), so which lanes a
+//!   round schedules, and which thread runs them, is bit-inert.
 //! * NoC effects are committed strictly below the GVT in (cycle, worker)
 //!   order — the serial send order — and no lane can ever stage a send
 //!   below the GVT afterwards (every future action of lane `j` is
@@ -75,13 +84,14 @@
 //!   state (and the [`crate::recovery::DurableImage`] the hook snapshots)
 //!   is bit-identical to a serial run.
 //!
-//! The coordination barrier blocks (mutex + condvar) rather than spins, so
-//! oversubscribed hosts — including single-core CI boxes — degrade
-//! gracefully instead of burning timeslices.
+//! The round barrier ([`Gate`]) spins briefly before it parks, and only
+//! when every sim thread can have a CPU of its own ([`spin_for`]).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Instant;
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use bionicdb_coproc::layout::TableState;
 use bionicdb_fpga::obs::LatencyHistogram;
@@ -118,7 +128,7 @@ pub(crate) struct Lane<'a> {
 }
 
 /// The scalars a lane reports at the round barrier (its traffic and trace
-/// travel through the combining tree instead).
+/// travel in a [`RoundNode`] instead).
 pub(crate) struct LaneOut {
     /// The lane's next self-known action (`> horizon`), or `None` when the
     /// worker, bank, and queued deliveries are all exhausted.
@@ -129,44 +139,39 @@ pub(crate) struct LaneOut {
     pub(crate) drained: bool,
 }
 
-/// A lane plus everything a claiming thread needs to run it for a round.
-struct LaneCell<'a> {
-    lane: Lane<'a>,
-    link: EpochLink,
-    /// Deliveries routed since the lane last ran, handed to
-    /// [`EpochLink::begin_round`] when the lane is next scheduled.
-    pending: Vec<(u64, Packet)>,
-    /// The horizon granted for the current round.
-    horizon: u64,
-    out: Option<LaneOut>,
-    /// When the claiming thread finished this lane — the coordinator turns
-    /// it into per-lane barrier idle time.
-    done_at: Option<Instant>,
-}
+/// A lane plus its detached link: what a sim thread locks to run the lane
+/// for a round.
+type LaneCell<'a> = (Lane<'a>, EpochLink);
 
-/// One leaf (or merged subtree) of the round's combining tree.
+/// Round traffic and trace of one lane, or of several folded together.
 struct RoundNode {
     batch: StagedBatch,
     /// Trace events `(cycle, lane, event)`, sorted by `(cycle, lane)`.
     trace: Vec<(u64, u32, TxnEvent)>,
 }
 
-impl RoundNode {
-    fn empty() -> Self {
-        RoundNode {
-            batch: StagedBatch::empty(),
-            trace: Vec::new(),
-        }
-    }
+/// Fold lane nodes given in schedule order. The merges are
+/// order-preserving, so the result is in the serial `(cycle, lane)` order.
+fn fold_nodes(nodes: impl IntoIterator<Item = RoundNode>) -> RoundNode {
+    let empty = RoundNode {
+        batch: StagedBatch::empty(),
+        trace: Vec::new(),
+    };
+    nodes.into_iter().fold(empty, |a, b| RoundNode {
+        batch: StagedBatch::merge(a.batch, b.batch),
+        trace: merge_traces(a.trace, b.trace),
+    })
+}
 
-    /// Deterministic pairwise combine: order-preserving merges keyed the
-    /// way a serial pass would have ordered the concatenation.
-    fn merge(a: Self, b: Self) -> Self {
-        RoundNode {
-            batch: StagedBatch::merge(a.batch, b.batch),
-            trace: merge_traces(a.trace, b.trace),
-        }
-    }
+/// What one scheduled lane hands the coordinator at the round barrier.
+struct LaneReport {
+    idx: usize,
+    out: LaneOut,
+    /// `None` when the lane neither sent, polled, nor traced this round.
+    node: Option<RoundNode>,
+    /// When the lane finished: the coordinator turns it into per-lane
+    /// barrier idle time.
+    done_at: Instant,
 }
 
 /// Order-preserving two-pointer merge of `(cycle, lane)`-sorted traces;
@@ -201,149 +206,140 @@ pub(crate) fn merge_traces(
     out
 }
 
-/// The hierarchical merge: a heap-indexed binary combining tree. Leaves
-/// live at `[m, 2m)`, internal nodes at `[1, m)`, the root at 1. A thread
-/// deposits its finished lane's [`RoundNode`] at its claimed leaf and
-/// climbs: the *second* arrival at each parent merges the two children and
-/// continues up, so merge work is spread across whichever threads finish
-/// last on each subtree — not serialized under the barrier.
-struct MergeTree {
-    nodes: Vec<Mutex<Option<RoundNode>>>,
-    /// Per-internal-node arrival counters (index-aligned with `nodes`).
-    arrivals: Vec<AtomicUsize>,
-    /// Leaf count (power of two).
-    m: usize,
-}
-
-impl MergeTree {
-    fn new(leaves: usize) -> Self {
-        let m = leaves.next_power_of_two().max(1);
-        MergeTree {
-            nodes: (0..2 * m).map(|_| Mutex::new(None)).collect(),
-            arrivals: (0..m).map(|_| AtomicUsize::new(0)).collect(),
-            m,
-        }
-    }
-
-    fn leaves(&self) -> usize {
-        self.m
-    }
-
-    /// Coordinator-only, between rounds: rearm the arrival counters.
-    fn reset(&self) {
-        for a in &self.arrivals {
-            a.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Place `node` at leaf `k` and climb, merging at each parent where
-    /// this thread arrives second. Mutexes order the node writes against
-    /// the counter increments.
-    fn deposit(&self, k: usize, node: RoundNode) {
-        let mut i = self.m + k;
-        *self.nodes[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(node);
-        while i > 1 {
-            let p = i >> 1;
-            if self.arrivals[p].fetch_add(1, Ordering::AcqRel) == 0 {
-                return; // first at this parent: the sibling's thread merges
-            }
-            let l = self.nodes[2 * p]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .expect("left child deposited");
-            let r = self.nodes[2 * p + 1]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .expect("right child deposited");
-            *self.nodes[p].lock().unwrap_or_else(PoisonError::into_inner) =
-                Some(RoundNode::merge(l, r));
-            i = p;
-        }
-    }
-
-    /// Coordinator-only, after the barrier: harvest the fully merged root.
-    fn take_root(&self) -> RoundNode {
-        self.nodes[1]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .expect("combining tree root deposited")
-    }
-}
-
 /// Coordinator commands, published before the round barrier.
 #[derive(Clone, Copy)]
 enum Cmd {
-    /// Claim lanes off the shared schedule and run each to its granted
-    /// per-lane horizon.
+    /// Run each lane of the thread's slice to its granted horizon.
     Run,
-    /// Claim lanes, top each up to cycle `to`, and exit. `expect_idle`
-    /// asserts the machine is quiescent (the audit for the serial loop's
-    /// exit).
+    /// Top each lane of the thread's slice up to cycle `to`, and exit.
+    /// `expect_idle` asserts the machine is quiescent (the audit for the
+    /// serial loop's exit).
     Finish { to: u64, expect_idle: bool },
 }
 
-/// A blocking reusable barrier with panic poisoning: if any participant
-/// panics mid-round, the rest unblock and panic too instead of deadlocking
-/// under `std::thread::scope`'s implicit join.
-struct Gate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-    n: usize,
+/// What the coordinator publishes before releasing a round: the command
+/// and the round's schedule in lane order, of which thread `t` runs
+/// [`slice`]`(t)`.
+type Orders = (Cmd, Vec<RoundEntry>);
+
+/// Sim thread `t`'s contiguous share `[⌈t·len/T⌉, ⌈(t+1)·len/T⌉)` of a
+/// `len`-entry schedule. Rounding up hands a short schedule to the lowest
+/// threads first, so a one-lane round runs on the coordinator (`t = 0`),
+/// which never waits to be woken.
+fn slice(len: usize, t: usize, threads: usize) -> Range<usize> {
+    (t * len).div_ceil(threads)..((t + 1) * len).div_ceil(threads)
 }
 
-struct GateState {
-    arrived: usize,
-    generation: u64,
-    poisoned: bool,
+/// How long a spinning [`Gate`] waiter spins before it parks: several
+/// round lengths, so a waiter parks only when its partner has stalled. A
+/// wake-up from parking is slow enough to make the partner outwait a
+/// shorter bound and park in turn, and then every round parks.
+const SPIN: Duration = Duration::from_micros(200);
+
+/// How long [`Gate`] waiters spin before parking: [`SPIN`] when each of
+/// `threads` sim threads can have one of the host's `cpus` to itself, and
+/// not at all otherwise — on an oversubscribed host (a single-core CI box
+/// included) a spinner burns the timeslice the thread it waits for needs.
+fn spin_for(threads: usize, cpus: usize) -> Duration {
+    if threads <= cpus {
+        SPIN
+    } else {
+        Duration::ZERO
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A reusable barrier with panic poisoning: if any participant panics
+/// mid-round, the rest unblock and panic too instead of deadlocking under
+/// `std::thread::scope`'s implicit join. A waiter spins on the generation
+/// counter for up to `spin`, then parks on the condvar.
+struct Gate {
+    n: usize,
+    spin: Duration,
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    poisoned: AtomicBool,
+    /// Waiters parked (or about to park); the releaser takes the lock to
+    /// notify only when there are any.
+    parked: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
 }
 
 impl Gate {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, spin: Duration) -> Self {
         Gate {
-            state: Mutex::new(GateState {
-                arrived: 0,
-                generation: 0,
-                poisoned: false,
-            }),
-            cv: Condvar::new(),
             n,
+            spin,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
+            parked: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn check(&self) {
+        if self.poisoned.load(Ordering::SeqCst) {
+            panic!("epoch-parallel peer panicked");
+        }
     }
 
     fn wait(&self) {
-        let mut g = self.lock();
-        if g.poisoned {
-            drop(g);
-            panic!("epoch-parallel peer panicked");
-        }
-        g.arrived += 1;
-        if g.arrived == self.n {
-            g.arrived = 0;
-            g.generation += 1;
-            self.cv.notify_all();
+        self.check();
+        let generation = self.generation.load(Ordering::SeqCst);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            // Relaxed: the SeqCst generation bump below releases the reset
+            // to every waiter, and none arrives again before seeing it.
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.fetch_add(1, Ordering::SeqCst);
+            if self.parked.load(Ordering::SeqCst) > 0 {
+                let _g = lock(&self.lock);
+                self.cv.notify_all();
+            }
             return;
         }
-        let generation = g.generation;
-        while g.generation == generation && !g.poisoned {
-            g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+        let released = || {
+            self.generation.load(Ordering::SeqCst) != generation
+                || self.poisoned.load(Ordering::SeqCst)
+        };
+        let start = Instant::now();
+        while !released() {
+            let waited = start.elapsed();
+            if waited >= self.spin {
+                break;
+            }
+            // Past a short wait, cede the CPU on every check: the thread
+            // this one waits for may be queued on the same CPU.
+            if waited >= self.spin / 16 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
         }
-        let poisoned = g.poisoned;
-        drop(g);
-        if poisoned {
-            panic!("epoch-parallel peer panicked");
+        if !released() {
+            // `parked` is raised before the re-check under the lock, and
+            // the releaser bumps the generation before reading `parked`
+            // (both SeqCst): either it sees this waiter and notifies under
+            // the lock, or this waiter sees the new generation.
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            let mut g = lock(&self.lock);
+            while !released() {
+                g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+            }
+            drop(g);
+            self.parked.fetch_sub(1, Ordering::SeqCst);
         }
+        self.check();
     }
 
     fn poison(&self) {
-        let mut g = self.lock();
-        g.poisoned = true;
+        self.poisoned.store(true, Ordering::SeqCst);
+        let _g = lock(&self.lock);
         self.cv.notify_all();
     }
 }
@@ -466,110 +462,77 @@ pub(crate) fn finish_lane(lane: &mut Lane<'_>, link: &EpochLink, to: u64, expect
     }
 }
 
-/// The work-stealing loop every thread (coordinator included) runs during
-/// a round: claim the next scheduled lane off the shared cursor, run it to
-/// its granted horizon, and deposit its traffic/trace into the combining
-/// tree at the claimed slot.
-fn run_claimed(
-    cells: &[Mutex<LaneCell<'_>>],
-    sched: &Mutex<Vec<usize>>,
-    cursor: &AtomicUsize,
-    tree: &MergeTree,
-    cat: &Catalogue,
+/// Everything the sim threads share for one epoch phase.
+struct Crew<'a> {
+    cells: Vec<Mutex<LaneCell<'a>>>,
+    orders: Mutex<Orders>,
+    /// Per-thread lane reports. Slices are contiguous and ascending, so
+    /// reading them in thread order reads them in schedule order.
+    reports: Vec<Mutex<Vec<LaneReport>>>,
+    gate: Gate,
+    cat: &'a Catalogue,
     tracing: bool,
-) {
-    loop {
-        let k = cursor.fetch_add(1, Ordering::SeqCst);
-        let idx = {
-            let sch = sched.lock().unwrap_or_else(PoisonError::into_inner);
-            match sch.get(k) {
-                Some(&i) => i,
-                None => break,
-            }
-        };
-        let mut guard = cells[idx].lock().unwrap_or_else(PoisonError::into_inner);
-        let cell = &mut *guard;
-        let pending = std::mem::take(&mut cell.pending);
-        cell.link.begin_round(pending);
-        let horizon = cell.horizon;
-        cell.lane.rounds += 1;
-        cell.lane.epoch_len.record(horizon - cell.lane.pos);
-        let hint = run_round(&mut cell.lane, &mut cell.link, horizon, cat, tracing);
-        let traffic = cell.link.harvest();
-        let drained = traffic.queue_drained();
-        let lane_id = cell.lane.idx as u32;
-        let trace: Vec<(u64, u32, TxnEvent)> = cell
-            .lane
-            .trace
-            .drain(..)
-            .map(|(c, ev)| (c, lane_id, ev))
-            .collect();
-        cell.out = Some(LaneOut {
-            hint,
-            pos: cell.lane.pos,
-            quiescent: cell.lane.worker.is_quiescent(),
-            drained,
-        });
-        cell.done_at = Some(Instant::now());
-        drop(guard);
-        tree.deposit(
-            k,
-            RoundNode {
-                batch: StagedBatch::from_traffic(traffic),
-                trace,
-            },
-        );
-    }
 }
 
-/// The claim loop for the exit command: top every lane up to `to`.
-fn finish_claimed(
-    cells: &[Mutex<LaneCell<'_>>],
-    sched: &Mutex<Vec<usize>>,
-    cursor: &AtomicUsize,
-    to: u64,
-    expect_idle: bool,
-) {
-    loop {
-        let k = cursor.fetch_add(1, Ordering::SeqCst);
-        let idx = {
-            let sch = sched.lock().unwrap_or_else(PoisonError::into_inner);
-            match sch.get(k) {
-                Some(&i) => i,
-                None => break,
-            }
+impl Crew<'_> {
+    /// Run sim thread `t`'s slice of the published orders: each lane to
+    /// its granted horizon, reporting in schedule order — or, for
+    /// `Finish`, each lane topped up to the exit cycle. Returns whether
+    /// the phase goes on.
+    fn run_slice(&self, t: usize) -> bool {
+        let (cmd, mine) = {
+            let (cmd, sched) = &mut *lock(&self.orders);
+            let r = slice(sched.len(), t, self.reports.len());
+            let mine: Vec<RoundEntry> = sched[r]
+                .iter_mut()
+                .map(|(i, h, pending)| (*i, *h, std::mem::take(pending)))
+                .collect();
+            (*cmd, mine)
         };
-        let mut guard = cells[idx].lock().unwrap_or_else(PoisonError::into_inner);
-        let cell = &mut *guard;
-        finish_lane(&mut cell.lane, &cell.link, to, expect_idle);
-    }
-}
-
-/// The loop a spawned worker thread runs: wait for a command, claim work,
-/// repeat until `Finish`.
-#[allow(clippy::too_many_arguments)]
-fn participant(
-    cells: &[Mutex<LaneCell<'_>>],
-    sched: &Mutex<Vec<usize>>,
-    cursor: &AtomicUsize,
-    tree: &MergeTree,
-    gate: &Gate,
-    cmd: &Mutex<Cmd>,
-    cat: &Catalogue,
-    tracing: bool,
-) {
-    loop {
-        gate.wait();
-        let c = *cmd.lock().unwrap_or_else(PoisonError::into_inner);
-        match c {
-            Cmd::Run => {
-                run_claimed(cells, sched, cursor, tree, cat, tracing);
-                gate.wait();
+        let mut reports = lock(&self.reports[t]);
+        for (idx, horizon, pending) in mine {
+            let mut cell = lock(&self.cells[idx]);
+            let (lane, link) = &mut *cell;
+            if let Cmd::Finish { to, expect_idle } = cmd {
+                finish_lane(lane, link, to, expect_idle);
+                continue;
             }
-            Cmd::Finish { to, expect_idle } => {
-                finish_claimed(cells, sched, cursor, to, expect_idle);
+            link.begin_round(pending);
+            lane.rounds += 1;
+            lane.epoch_len.record(horizon - lane.pos);
+            let hint = run_round(lane, link, horizon, self.cat, self.tracing);
+            let traffic = link.harvest();
+            let out = LaneOut {
+                hint,
+                pos: lane.pos,
+                quiescent: lane.worker.is_quiescent(),
+                drained: traffic.queue_drained(),
+            };
+            let batch = StagedBatch::from_traffic(traffic);
+            let node = (!batch.is_empty() || !lane.trace.is_empty()).then(|| {
+                let id = idx as u32;
+                let trace = lane.trace.drain(..).map(|(c, ev)| (c, id, ev)).collect();
+                RoundNode { batch, trace }
+            });
+            reports.push(LaneReport {
+                idx,
+                out,
+                node,
+                done_at: Instant::now(),
+            });
+        }
+        matches!(cmd, Cmd::Run)
+    }
+
+    /// The loop spawned sim thread `t` runs: wait for orders, run its
+    /// slice, report in, repeat until `Finish`.
+    fn participate(&self, t: usize) {
+        loop {
+            self.gate.wait();
+            if !self.run_slice(t) {
                 return;
             }
+            self.gate.wait();
         }
     }
 }
@@ -595,28 +558,79 @@ pub(crate) enum Step {
     },
 }
 
-/// Lane `i`'s [`LookaheadMode::Matrix`] horizon (step 3 of the module
-/// docs), capped at `cap`, from every lane's `base` and `i`'s staged
-/// arrival `floor`.
-fn matrix_horizon(i: usize, base: &[Option<u64>], floor: Option<u64>, noc: &Noc, cap: u64) -> u64 {
-    let pid = |k: usize| PartitionId(k as u16);
-    let bounce = base[i]
-        .zip(noc.min_round_trip(pid(i)))
-        .map(|(b, rt)| b.saturating_add(rt));
-    let direct = (0..base.len())
-        .filter(|&k| k != i)
-        .filter_map(|k| base[k].map(|b| b.saturating_add(noc.min_latency(pid(k), pid(i)))));
-    floor
-        .into_iter()
-        .chain(bounce)
-        .chain(direct)
-        .min()
-        .map_or(cap, |b| b.saturating_sub(1))
-        .min(cap)
+/// The [`LookaheadMode::Matrix`] horizon pass of step 3 of the module
+/// docs, grouped by island: per island the `(min, argmin, second-min)` of
+/// the lanes' bases, and the earliest a base in any *other* island reaches
+/// it. [`IslandHorizons::prepare`] costs O(n + islands²) once per round;
+/// each [`IslandHorizons::horizon`] is then O(1).
+#[derive(Default)]
+struct IslandHorizons {
+    /// Per island: `(min, argmin, second-min)` of its lanes' bases.
+    mins: Vec<(Option<u64>, usize, Option<u64>)>,
+    /// Per island `b`: `min over a != b of mins[a].min + L(a, b)`.
+    cross: Vec<Option<u64>>,
+}
+
+impl IslandHorizons {
+    fn prepare(&mut self, base: &[Option<u64>], noc: &Noc) {
+        let m = noc.islands();
+        self.mins.clear();
+        self.mins.resize(m, (None, usize::MAX, None));
+        for (k, b) in base.iter().enumerate() {
+            let Some(b) = *b else { continue };
+            let (min, argmin, second) = &mut self.mins[noc.island_of(PartitionId(k as u16))];
+            if min.is_none_or(|m| b < m) {
+                *second = *min;
+                *min = Some(b);
+                *argmin = k;
+            } else {
+                *second = Some(second.map_or(b, |s| s.min(b)));
+            }
+        }
+        self.cross.clear();
+        for to in 0..m {
+            let near = (0..m)
+                .filter(|&from| from != to)
+                .filter_map(|from| {
+                    let min = self.mins[from].0?;
+                    Some(min.saturating_add(noc.island_latency(from, to)))
+                })
+                .min();
+            self.cross.push(near);
+        }
+    }
+
+    /// Lane `i`'s horizon, capped at `cap`, given its staged arrival
+    /// `floor`: `min(floor_i, base_i + RT_i, min_{k != i}(base_k + L(k, i))) - 1`.
+    fn horizon(
+        &self,
+        i: usize,
+        base: &[Option<u64>],
+        floor: Option<u64>,
+        noc: &Noc,
+        cap: u64,
+    ) -> u64 {
+        let pid = PartitionId(i as u16);
+        let isl = noc.island_of(pid);
+        let (min, argmin, second) = self.mins[isl];
+        let peer = if argmin == i { second } else { min };
+        let near = peer.map(|b| b.saturating_add(noc.island_latency(isl, isl)));
+        let bounce = base[i]
+            .zip(noc.min_round_trip(pid))
+            .map(|(b, rt)| b.saturating_add(rt));
+        floor
+            .into_iter()
+            .chain(bounce)
+            .chain(near)
+            .chain(self.cross[isl])
+            .min()
+            .map_or(cap, |b| b.saturating_sub(1))
+            .min(cap)
+    }
 }
 
 /// The coordinator-side scheduling brain of one epoch phase — GVT
-/// fixpoint, staged-send commits, one-pass per-lane horizon grants — with
+/// fixpoint, staged-send commits, per-island horizon grants — with
 /// *no* opinion about how lanes actually execute. [`Machine::run_epochs`]
 /// drives it with scoped threads over in-process lanes; the fleet engine
 /// (`machine/fleet.rs`) drives the very same object over chip processes,
@@ -638,6 +652,7 @@ pub(crate) struct EpochCoordinator {
     slots: Vec<Vec<(u64, Packet)>>,
     base: Vec<Option<u64>>,
     floors: Vec<Option<u64>>,
+    islands: IslandHorizons,
     /// The last round's GVT (strict-increase audit + exit reporting). The
     /// fleet engine resets it when it extends the cap for the post-cap
     /// mop-up round, since that round legitimately re-derives the same
@@ -678,6 +693,7 @@ impl EpochCoordinator {
             slots: (0..n).map(|_| Vec::new()).collect(),
             base: vec![None; n],
             floors: vec![None; n],
+            islands: IslandHorizons::default(),
             prev_gvt: None,
         }
     }
@@ -716,26 +732,23 @@ impl EpochCoordinator {
         // ---- GVT fixpoint: commit staged sends below the bound until no
         // commit can raise it further ----
         let gvt = loop {
-            let floors_now = merger.arrival_floors(noc);
-            for (i, &floor) in floors_now.iter().enumerate() {
-                let floor = floor.map(|f| f.max(self.pos[i] + 1));
+            merger.arrival_floors(noc, &mut self.floors);
+            for i in 0..n {
+                let floor = self.floors[i].map(|f| f.max(self.pos[i] + 1));
                 self.base[i] = [self.next_action(i), floor].into_iter().flatten().min();
             }
-            self.floors = floors_now;
             let Some(g) = self.base.iter().flatten().copied().min() else {
                 break None;
             };
-            let (deliv, committed) = merger.commit(noc, Some(g));
-            for (w, d) in deliv.into_iter().enumerate() {
-                for (arr, pkt) in d {
-                    debug_assert!(
-                        arr > self.pos[w],
-                        "delivery at {arr} behind lane {w} at {}",
-                        self.pos[w]
-                    );
-                    self.slots[w].push((arr, pkt));
-                }
-            }
+            let (slots, pos) = (&mut self.slots, &self.pos);
+            let committed = merger.commit(noc, Some(g), |w, arr, pkt| {
+                debug_assert!(
+                    arr > pos[w],
+                    "delivery at {arr} behind lane {w} at {}",
+                    pos[w]
+                );
+                slots[w].push((arr, pkt));
+            });
             if committed == 0 {
                 break Some(g);
             }
@@ -748,11 +761,9 @@ impl EpochCoordinator {
 
         let Some(gvt) = gvt.filter(|&g| g <= self.cap) else {
             // ---- exit: flush the merger, pick the common top-up cycle ----
-            let (extra, _) = merger.commit(noc, None);
-            debug_assert!(
-                extra.iter().all(Vec::is_empty),
-                "staged sends survived past the cap"
-            );
+            let mut extra = 0usize;
+            merger.commit(noc, None, |_, _, _| extra += 1);
+            debug_assert_eq!(extra, 0, "staged sends survived past the cap");
             debug_assert!(merger.is_drained(), "merger left unreconciled state");
             let to = self.pos.iter().copied().max().unwrap_or(self.now0);
             let expect_idle = self.quiescent.iter().all(|&q| q) && self.prev_gvt.is_none();
@@ -770,12 +781,16 @@ impl EpochCoordinator {
         };
 
         // ---- grant horizons, schedule lanes with work ----
+        if self.mode == LookaheadMode::Matrix {
+            self.islands.prepare(&self.base, noc);
+        }
         let mut lanes: Vec<RoundEntry> = Vec::new();
         for i in 0..n {
             let h = match self.mode {
                 LookaheadMode::Global => gvt.saturating_add(self.lmin - 1).min(self.cap),
                 LookaheadMode::Matrix => {
-                    matrix_horizon(i, &self.base, self.floors[i], noc, self.cap)
+                    self.islands
+                        .horizon(i, &self.base, self.floors[i], noc, self.cap)
                 }
             };
             debug_assert!(h >= gvt, "horizon below the GVT stalls the round");
@@ -822,13 +837,22 @@ impl Machine {
             return;
         }
 
+        // Host-time split: each lap charges the time since the previous one
+        // to one part, so the parts sum exactly to the phase's wall time.
+        let wall0 = Instant::now();
+        let mut mark = wall0;
+        let mut lap = |part: &mut u64| {
+            let now = Instant::now();
+            *part += now.duration_since(mark).as_nanos() as u64;
+            mark = now;
+        };
+        let host = &mut self.epoch_host_time;
         let n = self.workers.len();
         let threads = self.sim_threads.min(n);
-        let tracing = self.trace_sink.enabled();
+        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         let now0 = self.now;
         // Split the machine into disjoint per-worker lanes. The host DRAM
         // view, catalogue, NoC, and trace sink stay with the coordinator.
-        let cat = &self.cat;
         let noc = &mut self.noc;
         let sink = &mut self.trace_sink;
         let lmin = noc.min_hop_latency();
@@ -868,124 +892,95 @@ impl Machine {
                     link.next_ready(now0).is_none(),
                     lane.worker.is_quiescent(),
                 ));
-                Mutex::new(LaneCell {
-                    lane,
-                    link,
-                    pending: Vec::new(),
-                    horizon: now0,
-                    out: None,
-                    done_at: None,
-                })
+                Mutex::new((lane, link))
             })
             .collect();
         let mut coord = EpochCoordinator::new(mode, cap, lmin, now0, init);
-
-        let gate = Gate::new(threads);
-        let cmd_slot: Mutex<Cmd> = Mutex::new(Cmd::Run);
-        let sched: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let cursor = AtomicUsize::new(0);
-        let tree = MergeTree::new(n);
+        let crew = Crew {
+            cells,
+            orders: Mutex::new((Cmd::Run, Vec::new())),
+            reports: (0..threads).map(|_| Mutex::new(Vec::new())).collect(),
+            gate: Gate::new(threads, spin_for(threads, cpus)),
+            cat: &self.cat,
+            tracing: sink.enabled(),
+        };
         let mut rounds_done = 0u64;
         let mut trace_buf: Vec<(u64, u32, TxnEvent)> = Vec::new();
 
         let (slots, to) = std::thread::scope(|s| {
-            for _ in 1..threads {
-                let (cells, sched, cursor, tree, gate, cmd_slot) =
-                    (&cells, &sched, &cursor, &tree, &gate, &cmd_slot);
+            for t in 1..threads {
+                let crew = &crew;
                 s.spawn(move || {
-                    let _guard = PanicGuard(gate);
-                    participant(cells, sched, cursor, tree, gate, cmd_slot, cat, tracing);
+                    let _guard = PanicGuard(&crew.gate);
+                    crew.participate(t);
                 });
             }
-
-            let _guard = PanicGuard(&gate);
+            let _guard = PanicGuard(&crew.gate);
+            lap(&mut host.fold_ns);
             loop {
-                match coord.next_step(&mut merger, noc) {
+                let step = coord.next_step(&mut merger, noc);
+                // Trace events below the GVT are final in serial order; at
+                // the exit, all of them are.
+                let (orders, gvt, exit) = match step {
+                    Step::Round { lanes, gvt } => ((Cmd::Run, lanes), gvt, None),
                     Step::Finish {
                         to, expect_idle, ..
                     } => {
-                        // ---- exit: drain traces, top all lanes up to the
-                        // common cycle ----
-                        if tracing {
-                            for (_, _, ev) in trace_buf.drain(..) {
-                                sink.txn(&ev);
-                            }
-                        }
-                        {
-                            let mut sch = sched.lock().unwrap_or_else(PoisonError::into_inner);
-                            sch.clear();
-                            sch.extend(0..n);
-                        }
-                        cursor.store(0, Ordering::SeqCst);
-                        *cmd_slot.lock().unwrap_or_else(PoisonError::into_inner) =
-                            Cmd::Finish { to, expect_idle };
-                        gate.wait(); // release peers into Finish
-                        finish_claimed(&cells, &sched, &cursor, to, expect_idle);
-                        break (coord.take_slots(), to);
+                        let all = (0..n).map(|i| (i, to, Vec::new())).collect();
+                        ((Cmd::Finish { to, expect_idle }, all), u64::MAX, Some(to))
                     }
-                    Step::Round { lanes, gvt } => {
-                        // Trace events below the GVT are final in serial
-                        // order.
-                        if tracing {
-                            let cut = trace_buf.partition_point(|&(c, _, _)| c < gvt);
-                            for (_, _, ev) in trace_buf.drain(..cut) {
-                                sink.txn(&ev);
-                            }
-                        }
-                        let round_lanes: Vec<usize> = lanes.iter().map(|&(i, _, _)| i).collect();
-                        for (i, horizon, pending) in lanes {
-                            let mut cell =
-                                cells[i].lock().unwrap_or_else(PoisonError::into_inner);
-                            cell.horizon = horizon;
-                            cell.pending = pending;
-                        }
-                        {
-                            let mut sch = sched.lock().unwrap_or_else(PoisonError::into_inner);
-                            sch.clear();
-                            sch.extend_from_slice(&round_lanes);
-                        }
-                        cursor.store(0, Ordering::SeqCst);
-                        tree.reset();
-                        for leaf in round_lanes.len()..tree.leaves() {
-                            tree.deposit(leaf, RoundNode::empty());
-                        }
-                        *cmd_slot.lock().unwrap_or_else(PoisonError::into_inner) = Cmd::Run;
-                        gate.wait(); // release the round
-                        run_claimed(&cells, &sched, &cursor, &tree, cat, tracing);
-                        gate.wait(); // all results in
-                        rounds_done += 1;
-
-                        let barrier_end = Instant::now();
-                        for &i in &round_lanes {
-                            let mut cell =
-                                cells[i].lock().unwrap_or_else(PoisonError::into_inner);
-                            let out = cell.out.take().expect("scheduled lane reported");
-                            coord.note_out(i, &out);
-                            if let Some(done) = cell.done_at.take() {
-                                idle_ns[i] += barrier_end.duration_since(done).as_nanos() as u64;
-                            }
-                        }
-                        let root = tree.take_root();
-                        merger.absorb(noc, root.batch);
-                        trace_buf = merge_traces(std::mem::take(&mut trace_buf), root.trace);
+                };
+                if crew.tracing {
+                    let cut = trace_buf.partition_point(|&(c, _, _)| c < gvt);
+                    for (_, _, ev) in trace_buf.drain(..cut) {
+                        sink.txn(&ev);
                     }
                 }
+                *lock(&crew.orders) = orders;
+                lap(&mut host.next_step_ns);
+                crew.gate.wait(); // release the round
+                lap(&mut host.release_wait_ns);
+                crew.run_slice(0);
+                lap(&mut host.lane_work_ns);
+                if let Some(to) = exit {
+                    break (coord.take_slots(), to);
+                }
+                crew.gate.wait(); // all results in
+                lap(&mut host.all_in_wait_ns);
+                rounds_done += 1;
+
+                // ---- fold the round in schedule order ----
+                let barrier_end = Instant::now();
+                let mut reports: Vec<_> = crew.reports.iter().map(lock).collect();
+                let deposits = reports
+                    .iter_mut()
+                    .flat_map(|rep| rep.drain(..))
+                    .filter_map(|r| {
+                        coord.note_out(r.idx, &r.out);
+                        idle_ns[r.idx] += barrier_end.duration_since(r.done_at).as_nanos() as u64;
+                        r.node
+                    });
+                let round = fold_nodes(deposits);
+                merger.absorb(noc, round.batch);
+                trace_buf = merge_traces(std::mem::take(&mut trace_buf), round.trace);
+                lap(&mut host.fold_ns);
             }
         });
+        // Leaving the scope joined the peers' finish slices.
+        lap(&mut host.all_in_wait_ns);
 
         let mut total_ticks = 0u64;
         let mut links: Vec<EpochLink> = Vec::with_capacity(n);
-        for (i, cell) in cells.into_iter().enumerate() {
-            let cell = cell.into_inner().unwrap_or_else(PoisonError::into_inner);
-            total_ticks += cell.lane.ticks;
+        for (i, cell) in crew.cells.into_iter().enumerate() {
+            let (lane, link) = cell.into_inner().unwrap_or_else(PoisonError::into_inner);
+            total_ticks += lane.ticks;
             let la = &mut self.lane_activity[i];
-            la.ticks += cell.lane.ticks;
-            la.skips += cell.lane.skips;
-            la.rounds += cell.lane.rounds;
+            la.ticks += lane.ticks;
+            la.skips += lane.skips;
+            la.rounds += lane.rounds;
             la.barrier_idle_ns += idle_ns[i];
-            la.epoch_len.merge(&cell.lane.epoch_len);
-            debug_assert!(cell.pending.is_empty(), "undelivered pending at exit");
-            links.push(cell.link);
+            la.epoch_len.merge(&lane.epoch_len);
+            links.push(link);
         }
         noc.absorb_epoch(links, slots);
         self.now = to;
@@ -995,6 +990,8 @@ impl Machine {
         // simulator, not the machine.
         self.ticks_executed += total_ticks;
         self.epoch_rounds += rounds_done;
+        lap(&mut host.fold_ns);
+        host.total_ns += mark.duration_since(wall0).as_nanos() as u64;
     }
 }
 
@@ -1049,8 +1046,95 @@ mod tests {
             .collect()
     }
 
+    /// Lane `i`'s [`LookaheadMode::Matrix`] horizon straight from the
+    /// per-pair definition in O(n) — the pairwise pass the scheduler ran
+    /// before grouping lanes by island, kept as the reference:
+    /// `H_i = min(floor_i, base_i + RT_i, min_{k != i}(base_k + L(k, i))) - 1`,
+    /// capped.
+    fn matrix_horizon(
+        i: usize,
+        base: &[Option<u64>],
+        floor: Option<u64>,
+        noc: &Noc,
+        cap: u64,
+    ) -> u64 {
+        let pid = |k: usize| PartitionId(k as u16);
+        let bounce = base[i]
+            .zip(noc.min_round_trip(pid(i)))
+            .map(|(b, rt)| b.saturating_add(rt));
+        let direct = (0..base.len())
+            .filter(|&k| k != i)
+            .filter_map(|k| base[k].map(|b| b.saturating_add(noc.min_latency(pid(k), pid(i)))));
+        floor
+            .into_iter()
+            .chain(bounce)
+            .chain(direct)
+            .min()
+            .map_or(cap, |b| b.saturating_sub(1))
+            .min(cap)
+    }
+
     fn opt_cycle() -> impl Strategy<Value = Option<u64>> {
         prop_oneof![Just(None), (0u64..5_000).prop_map(Some)]
+    }
+
+    fn topology(which: usize, per: usize, inter: u64) -> Topology {
+        match which {
+            0 => Topology::Crossbar,
+            1 => Topology::Ring,
+            2 => Topology::MultiChip {
+                workers_per_node: per,
+                inter_node_hops: inter,
+            },
+            _ => Topology::Fleet {
+                workers_per_chip: per,
+                neighbor_hops: inter,
+            },
+        }
+    }
+
+    fn cap() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..6_000, Just(u64::MAX - 1)]
+    }
+
+    /// A send from lane `src` to lane `dst`, tagged with `seq`.
+    fn pkt(src: usize, dst: usize, seq: u64) -> Packet {
+        use bionicdb_noc::Payload;
+        use bionicdb_softcore::catalogue::TableId;
+        use bionicdb_softcore::request::{CpSlot, DbOp, DbRequest};
+        Packet {
+            src: PartitionId(src as u16),
+            dst: PartitionId(dst as u16),
+            seq,
+            payload: Payload::Request(DbRequest {
+                op: DbOp::Search,
+                table: TableId(0),
+                key_addr: 0,
+                payload_addr: 0,
+                scan_count: 0,
+                out_addr: 0,
+                ts: 1,
+                cp: CpSlot {
+                    worker: PartitionId(src as u16),
+                    index: 0,
+                },
+                home: PartitionId(dst as u16),
+                batch_group: 0,
+            }),
+        }
+    }
+
+    fn event(worker: usize, id: u64) -> TxnEvent {
+        TxnEvent {
+            worker: worker as u16,
+            block_addr: id,
+            submitted_at: 0,
+            logic_start: 0,
+            logic_end: 0,
+            commit_start: 0,
+            finished_at: 0,
+            committed: true,
+        }
     }
 
     proptest! {
@@ -1066,20 +1150,9 @@ mod tests {
             inter in 0u64..60,
             base in prop::collection::vec(opt_cycle(), 11),
             floors in prop::collection::vec(opt_cycle(), 11),
-            cap in prop_oneof![0u64..6_000, Just(u64::MAX - 1)],
+            cap in cap(),
         ) {
-            let topology = match which {
-                0 => Topology::Crossbar,
-                1 => Topology::Ring,
-                2 => Topology::MultiChip {
-                    workers_per_node: per,
-                    inter_node_hops: inter,
-                },
-                _ => Topology::Fleet {
-                    workers_per_chip: per,
-                    neighbor_hops: inter,
-                },
-            };
+            let topology = topology(which, per, inter);
             let noc = Noc::new(topology, n, raw_hop);
             let (base, floors) = (&base[..n], &floors[..n]);
             let expect = fixpoint_horizons(base, floors, &noc, cap);
@@ -1092,6 +1165,173 @@ mod tests {
                     topology
                 );
             }
+        }
+
+        /// The per-island pass equals the pairwise definition for every
+        /// lane, over every topology family — chips that do not divide the
+        /// worker count, one-worker islands, and ties for an island's
+        /// minimum included.
+        #[test]
+        fn island_horizons_match_pairwise(
+            which in 0usize..4,
+            n in 1usize..12,
+            raw_hop in 0u64..8,
+            per in 1usize..5,
+            inter in 0u64..60,
+            base in prop::collection::vec(
+                prop_oneof![Just(None), (0u64..8).prop_map(Some), (0u64..5_000).prop_map(Some)],
+                11,
+            ),
+            floors in prop::collection::vec(opt_cycle(), 11),
+            cap in cap(),
+        ) {
+            let topology = topology(which, per, inter);
+            let noc = Noc::new(topology, n, raw_hop);
+            let (base, floors) = (&base[..n], &floors[..n]);
+            let mut islands = IslandHorizons::default();
+            islands.prepare(base, &noc);
+            for (i, &floor) in floors.iter().enumerate() {
+                prop_assert_eq!(
+                    islands.horizon(i, base, floor, &noc, cap),
+                    matrix_horizon(i, base, floor, &noc, cap),
+                    "lane {} under {:?}",
+                    i,
+                    topology
+                );
+            }
+        }
+
+        /// Folding the lanes' reports in thread order — each thread
+        /// holding its contiguous slice of the schedule — yields a stable
+        /// `(cycle, lane)` sort of the concatenated per-lane sends and
+        /// traces, whatever the thread count. Lanes with nothing to report
+        /// are skipped, as in a real round.
+        #[test]
+        fn lane_order_fold_is_a_stable_sort(
+            n in 2usize..9,
+            threads in 1usize..6,
+            per_lane in prop::collection::vec(
+                (
+                    prop::collection::vec((0u64..40, 1usize..8), 0..6),
+                    prop::collection::vec(0u64..40, 0..4),
+                ),
+                8,
+            ),
+        ) {
+            use bionicdb_noc::Link;
+            let mut noc = Noc::new(Topology::Crossbar, n, 3);
+            let mut links = noc.begin_epoch();
+            let mut nodes = Vec::new();
+            let (mut sends, mut traces) = (Vec::new(), Vec::new());
+            let mut seq = 0u64;
+            for (i, link) in links.iter_mut().enumerate() {
+                let (mut lane_sends, mut lane_trace) = per_lane[i].clone();
+                lane_sends.sort_by_key(|&(c, _)| c);
+                lane_sends.dedup_by_key(|&mut (c, _)| c); // one issue slot per cycle
+                lane_trace.sort();
+                link.begin_round(Vec::new());
+                for (c, off) in lane_sends {
+                    let dst = (i + 1 + off % (n - 1)) % n;
+                    link.send(c, pkt(i, dst, seq)).expect("one send per cycle");
+                    sends.push((c, i as u32, seq));
+                    seq += 1;
+                }
+                let trace: Vec<_> = lane_trace
+                    .into_iter()
+                    .map(|c| {
+                        seq += 1;
+                        (c, i as u32, event(i, seq))
+                    })
+                    .collect();
+                traces.extend(trace.iter().copied());
+                let batch = StagedBatch::from_traffic(link.harvest());
+                let node = (!batch.is_empty() || !trace.is_empty())
+                    .then_some(RoundNode { batch, trace });
+                nodes.push(node);
+            }
+            let per_thread: Vec<Vec<RoundNode>> = (0..threads)
+                .map(|t| slice(n, t, threads).filter_map(|i| nodes[i].take()).collect())
+                .collect();
+            let round = fold_nodes(per_thread.into_iter().flatten());
+            sends.sort_by_key(|&(c, src, _)| (c, src));
+            traces.sort_by_key(|&(c, lane, _)| (c, lane));
+            prop_assert_eq!(&round.trace, &traces);
+            // Commit order is the batch's send order.
+            let mut merger = EpochMerger::new(&noc);
+            merger.absorb(&mut noc, round.batch);
+            let mut got = Vec::new();
+            merger.commit(&mut noc, None, |_, arr, p| got.push((arr - 3, p.src.0 as u32, p.seq)));
+            prop_assert_eq!(got, sends);
+        }
+    }
+
+    #[test]
+    fn spin_only_when_every_thread_has_a_cpu() {
+        for (threads, cpus) in [(1, 1), (2, 2), (2, 8)] {
+            assert_eq!(
+                spin_for(threads, cpus),
+                SPIN,
+                "{threads} threads on {cpus} CPUs"
+            );
+        }
+        for (threads, cpus) in [(2, 1), (3, 2), (4, 2)] {
+            assert!(
+                spin_for(threads, cpus).is_zero(),
+                "{threads} threads on {cpus} CPUs"
+            );
+        }
+    }
+
+    /// The gate synchronises rounds whether waiters spin or park: nobody
+    /// leaves round `r` before everyone has entered it.
+    #[test]
+    fn gate_separates_rounds() {
+        use std::sync::atomic::AtomicUsize;
+        for spin in [SPIN, Duration::ZERO] {
+            let gate = Gate::new(3, spin);
+            let entered = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..3 {
+                    s.spawn(|| {
+                        for r in 1..=200 {
+                            entered.fetch_add(1, Ordering::SeqCst);
+                            gate.wait();
+                            assert!(entered.load(Ordering::SeqCst) >= 3 * r);
+                            gate.wait();
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    /// A poisoned gate releases its peers into a panic whether they are
+    /// spinning or parked, instead of leaving them blocked forever.
+    #[test]
+    fn poisoned_gate_releases_spinning_and_parked_peers() {
+        for parked in [false, true] {
+            let spin = if parked {
+                Duration::ZERO
+            } else {
+                Duration::from_secs(600)
+            };
+            let gate = Gate::new(3, spin);
+            std::thread::scope(|s| {
+                let peers: Vec<_> = (0..2).map(|_| s.spawn(|| gate.wait())).collect();
+                while gate.arrived.load(Ordering::SeqCst) < 2
+                    || (parked && gate.parked.load(Ordering::SeqCst) < 2)
+                {
+                    std::thread::yield_now();
+                }
+                assert_eq!(
+                    gate.parked.load(Ordering::SeqCst),
+                    if parked { 2 } else { 0 }
+                );
+                gate.poison();
+                for p in peers {
+                    assert!(p.join().is_err(), "a poisoned gate must panic its peers");
+                }
+            });
         }
     }
 }

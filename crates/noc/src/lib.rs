@@ -111,6 +111,26 @@ impl Topology {
             }
         }
     }
+
+    /// Workers per **island** of an `n`-worker interconnect. Island `k`
+    /// holds the consecutive workers `[k·s, (k+1)·s)` (the last one may be
+    /// short). Any two distinct workers of one island are the same latency
+    /// apart, and every worker of island `a` is the same latency from every
+    /// worker of island `b`. A crossbar is one island, each chip of a
+    /// MultiChip or Fleet is one, and on a ring every worker is its own.
+    pub fn island_size(&self, n: usize) -> usize {
+        let s = match *self {
+            Topology::Crossbar => n,
+            Topology::Ring => 1,
+            Topology::MultiChip {
+                workers_per_node, ..
+            } => workers_per_node,
+            Topology::Fleet {
+                workers_per_chip, ..
+            } => workers_per_chip,
+        };
+        s.clamp(1, n.max(1))
+    }
 }
 
 /// What travels over a channel.
@@ -234,6 +254,11 @@ pub struct Noc {
     min_incoming: Vec<u64>,
     /// Cached per-worker cheapest round trip (see [`Noc::min_round_trip`]).
     round_trip: Vec<Option<u64>>,
+    /// Workers per island ([`Topology::island_size`]).
+    island_size: usize,
+    /// Cached island-to-island latency `[a * islands + b]` (see
+    /// [`Noc::island_latency`]).
+    island_latency: Vec<u64>,
 }
 
 impl Noc {
@@ -262,6 +287,22 @@ impl Noc {
                     .min()
             })
             .collect();
+        let island_size = topology.island_size(n);
+        let islands = n.div_ceil(island_size);
+        let mut island_latency = Vec::with_capacity(islands * islands);
+        for a in 0..islands {
+            for b in 0..islands {
+                // A representative pair of distinct workers: the first of
+                // each island, or the first two of a shared one.
+                let (wa, wb) = (a * island_size, b * island_size + usize::from(a == b));
+                let in_b = wb < ((b + 1) * island_size).min(n);
+                island_latency.push(if in_b {
+                    pair_latency[wa * n + wb]
+                } else {
+                    u64::MAX
+                });
+            }
+        }
         Noc {
             topology,
             hop_latency,
@@ -276,6 +317,8 @@ impl Noc {
             pair_latency,
             min_incoming,
             round_trip,
+            island_size,
+            island_latency,
         }
     }
 
@@ -301,8 +344,7 @@ impl Noc {
     /// topology, not core count, bounds how tightly two partitions must
     /// synchronize). For the provided deterministic topologies this equals
     /// [`Noc::latency`], but it is read from the matrix built at
-    /// construction so the epoch scheduler's per-barrier O(n²) horizon
-    /// computation never re-derives topology math.
+    /// construction so the epoch scheduler never re-derives topology math.
     /// Over distinct workers the table is a **metric**, i.e.
     /// `L(a, c) <= L(a, b) + L(b, c)`: no relay beats the direct path. The
     /// epoch scheduler relies on this to grant horizons in one pass instead
@@ -332,6 +374,25 @@ impl Noc {
     /// every row minimum is the full inter-node latency.)
     pub fn min_incoming_latency(&self, dst: PartitionId) -> u64 {
         self.min_incoming[dst.0 as usize]
+    }
+
+    /// The island worker `w` belongs to ([`Topology::island_size`]).
+    pub fn island_of(&self, w: PartitionId) -> usize {
+        w.0 as usize / self.island_size
+    }
+
+    /// Number of islands; ids run `0..islands()`.
+    pub fn islands(&self) -> usize {
+        self.n.div_ceil(self.island_size)
+    }
+
+    /// Cached latency from any worker of island `a` to any *other* worker
+    /// of island `b` — [`Noc::min_latency`] at island granularity, which
+    /// lets the epoch scheduler grant horizons in O(n + islands²) rather
+    /// than O(n²). `u64::MAX` for `a == b` when island `a` has a single
+    /// worker: there is no such pair.
+    pub fn island_latency(&self, a: usize, b: usize) -> u64 {
+        self.island_latency[a * self.islands() + b]
     }
 
     /// Number of workers attached to the interconnect.
@@ -744,12 +805,11 @@ impl EpochTraffic {
     }
 }
 
-/// One subtree's worth of epoch-round traffic, shaped for the parallel
-/// **hierarchical merge**: every field is kept in the exact serial replay
+/// Epoch-round traffic of one lane or of several, shaped for the barrier's
+/// **lane-order fold**: every field is kept in the exact serial replay
 /// order, and [`StagedBatch::merge`] combines two batches with an
-/// order-preserving two-pointer merge — so the content of the combining
-/// tree's root is deterministic no matter which thread performs which
-/// merge, and equals what a serial pass over the lanes would have built.
+/// order-preserving two-pointer merge — so folding the lanes' batches in
+/// any grouping yields what a serial pass over the lanes would have built.
 #[derive(Debug, PartialEq)]
 pub struct StagedBatch {
     /// Accepted sends `(cycle, src, packet)`, sorted by `(cycle, src)` —
@@ -763,8 +823,8 @@ pub struct StagedBatch {
 }
 
 impl StagedBatch {
-    /// The identity element of [`StagedBatch::merge`] (used to pad the
-    /// combining tree to a power-of-two leaf count).
+    /// The identity element of [`StagedBatch::merge`] (the start of a
+    /// fold).
     pub fn empty() -> Self {
         StagedBatch {
             sends: Vec::new(),
@@ -786,9 +846,8 @@ impl StagedBatch {
     }
 
     /// Deterministic pairwise combine: order-preserving merges of the two
-    /// sorted sequences. Called concurrently from whichever thread
-    /// completes a combining-tree node second; associativity of sorted
-    /// merge makes the root independent of execution interleaving.
+    /// sorted sequences. Sorted merge is associative, so a fold over lanes
+    /// does not depend on which thread ran which lane.
     pub fn merge(a: Self, b: Self) -> Self {
         fn merge_by<T, K: Ord>(a: Vec<T>, b: Vec<T>, key: impl Fn(&T) -> K) -> Vec<T> {
             let mut out = Vec::with_capacity(a.len() + b.len());
@@ -796,7 +855,7 @@ impl StagedBatch {
             loop {
                 match (ia.peek(), ib.peek()) {
                     (Some(x), Some(y)) => {
-                        // `<=` keeps the left subtree first on ties — the
+                        // `<=` keeps the left operand first on ties — the
                         // stable order a serial concat-then-sort would give.
                         if key(x) <= key(y) {
                             out.push(ia.next().expect("peeked"));
@@ -893,18 +952,19 @@ impl EpochMerger {
     }
 
     /// Earliest cycle at which an uncommitted staged send could reach each
-    /// destination (`send cycle + min pair latency`) — a conservative floor
-    /// for the per-lane horizon computation. Injected drops make a send
-    /// never arrive and delays make it arrive later; both directions are
-    /// safe for a lower bound.
-    pub fn arrival_floors(&self, noc: &Noc) -> Vec<Option<u64>> {
-        let mut floors: Vec<Option<u64>> = vec![None; self.n];
+    /// destination (`send cycle + min pair latency`), written into `floors`
+    /// (resized to one entry per worker) — a conservative floor for the
+    /// per-lane horizon computation. Injected drops make a send never
+    /// arrive and delays make it arrive later; both directions are safe for
+    /// a lower bound.
+    pub fn arrival_floors(&self, noc: &Noc, floors: &mut Vec<Option<u64>>) {
+        floors.clear();
+        floors.resize(self.n, None);
         for &(c, src, ref pkt) in &self.staged {
             let dst = pkt.dst.0 as usize;
             let arrive = c + noc.min_latency(PartitionId(src as u16), pkt.dst);
             floors[dst] = Some(floors[dst].map_or(arrive, |f: u64| f.min(arrive)));
         }
-        floors
     }
 
     /// Commit every staged send with `cycle < bound` (`None` commits all —
@@ -912,14 +972,16 @@ impl EpochMerger {
     /// serial bookkeeping minus the issue-width gate (the lane's own ledger
     /// already enforced it): shared per-source ledger, `sends_seen` fault
     /// ordinals, drop/delay faults, latency stats, and per-destination
-    /// queue-depth/high-water replay. Returns the resulting deliveries per
-    /// destination (each `(deliver_at, packet)`, in send order — the FIFO
-    /// order of the serial channel) and the number of sends committed.
+    /// queue-depth/high-water replay. Each resulting delivery is handed to
+    /// `deliver(dst, deliver_at, packet)` in send order — per destination,
+    /// the FIFO order of the serial channel. Returns the number of sends
+    /// committed.
     pub fn commit(
         &mut self,
         noc: &mut Noc,
         bound: Option<u64>,
-    ) -> (Vec<Vec<(u64, Packet)>>, usize) {
+        mut deliver: impl FnMut(usize, u64, Packet),
+    ) -> usize {
         if let Some(b) = bound {
             debug_assert!(
                 b >= self.committed_below,
@@ -931,7 +993,6 @@ impl EpochMerger {
             Some(b) => self.staged.partition_point(|&(c, _, _)| c < b),
             None => self.staged.len(),
         };
-        let mut out: Vec<Vec<(u64, Packet)>> = (0..self.n).map(|_| Vec::new()).collect();
         for (c, src, pkt) in self.staged.drain(..cut) {
             debug_assert!(
                 c >= self.committed_below,
@@ -961,28 +1022,28 @@ impl EpochMerger {
             noc.stats.total_latency += lat;
             let dst = pkt.dst.0 as usize;
             self.events[dst].push((c, src as u32, 1));
-            out[dst].push((c + lat, pkt));
+            deliver(dst, c + lat, pkt);
         }
-        let committed = cut;
         // Apply the depth events now safely ordered: every event below the
         // bound is in the buffer (all pops at executed cycles were
         // reported; all pushes below the bound were committed above), and
-        // no future event can land below it.
+        // no future event can land below it. Serial order within a cycle
+        // is worker-id order (dst pops during its own tick, sources push
+        // during theirs); the sort is stable, so sorting the whole buffer
+        // and applying its prefix replays exactly the events below the
+        // bound in that order.
         for (dst, buf) in self.events.iter_mut().enumerate() {
-            let taken = std::mem::take(buf);
-            let (mut apply, keep): (Vec<_>, Vec<_>) = taken
-                .into_iter()
-                .partition(|&(c, _, _)| bound.is_none_or(|b| c < b));
-            *buf = keep;
-            if apply.is_empty() {
+            if buf.is_empty() {
                 continue;
             }
-            // Serial order within a cycle is worker-id order: dst pops
-            // during its own tick, sources push during theirs.
-            apply.sort_by_key(|&(c, actor, _)| (c, actor));
+            buf.sort_by_key(|&(c, actor, _)| (c, actor));
+            let apply = match bound {
+                Some(b) => buf.partition_point(|&(c, _, _)| c < b),
+                None => buf.len(),
+            };
             let depth = &mut self.depth[dst];
             let ls = &mut noc.link_stats[dst];
-            for (_, _, delta) in apply {
+            for (_, _, delta) in buf.drain(..apply) {
                 *depth += delta;
                 debug_assert!(*depth >= 0, "queue depth replay went negative");
                 if delta > 0 {
@@ -993,7 +1054,7 @@ impl EpochMerger {
         if let Some(b) = bound {
             self.committed_below = b;
         }
-        (out, committed)
+        cut
     }
 
     /// True when nothing is left to reconcile — the end-of-epoch audit.
@@ -1469,6 +1530,49 @@ mod tests {
                             topology
                         );
                     }
+                }
+            }
+        }
+
+        /// The island cache answers every distinct pair exactly like the
+        /// per-pair matrix, islands tile the workers consecutively (the
+        /// last one may be short), and islands of one worker are covered.
+        #[test]
+        fn island_cache_matches_pair_latency(
+            which in 0usize..4,
+            n in 1usize..12,
+            raw_hop in 0u64..8,
+            per in 1usize..5,
+            inter in 0u64..60,
+        ) {
+            let topology = match which {
+                0 => Topology::Crossbar,
+                1 => Topology::Ring,
+                2 => Topology::MultiChip {
+                    workers_per_node: per,
+                    inter_node_hops: inter,
+                },
+                _ => Topology::Fleet {
+                    workers_per_chip: per,
+                    neighbor_hops: inter,
+                },
+            };
+            let noc = Noc::new(topology, n, raw_hop);
+            let pid = |w: usize| PartitionId(w as u16);
+            let size = topology.island_size(n);
+            prop_assert_eq!(noc.islands(), n.div_ceil(size));
+            for a in 0..n {
+                prop_assert_eq!(noc.island_of(pid(a)), a / size);
+                for b in (0..n).filter(|&b| b != a) {
+                    let (ia, ib) = (noc.island_of(pid(a)), noc.island_of(pid(b)));
+                    prop_assert_eq!(
+                        noc.island_latency(ia, ib),
+                        noc.min_latency(pid(a), pid(b)),
+                        "{} -> {} under {:?}",
+                        a,
+                        b,
+                        topology
+                    );
                 }
             }
         }

@@ -15,7 +15,9 @@
 //! and compares whole-machine snapshots plus raw report JSON bytes.
 
 use bionicdb::worker::WorkerStats;
-use bionicdb::{BionicConfig, FaultPlan, LookaheadMode, Machine, MachineReport, Topology};
+use bionicdb::{
+    BionicConfig, EpochHostTime, FaultPlan, LookaheadMode, Machine, MachineReport, Topology,
+};
 use bionicdb_coproc::CoprocStats;
 use bionicdb_fpga::dram::DramStats;
 use bionicdb_noc::NocStats;
@@ -244,6 +246,73 @@ fn more_threads_than_workers_is_identical() {
         Mode::Par(16),
     );
     assert_identical(&strict, &par, "16 threads / 2 workers");
+}
+
+/// More sim threads than the host has CPUs: the round barrier must park
+/// instead of spinning (a spinning waiter would starve the thread it waits
+/// for), and the run must stay byte-identical.
+#[test]
+fn oversubscribed_threads_are_identical() {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) + 2;
+    let cfg = BionicConfig {
+        workers: threads,
+        topology: Topology::MultiChip {
+            workers_per_node: 2,
+            inter_node_hops: 8,
+        },
+        dram_bytes: threads as u64 * (8 << 20),
+        block_arena_bytes: 2 << 20,
+        partition_bytes: 4 << 20,
+        ..BionicConfig::default()
+    };
+    let spec = YcsbSpec {
+        remote_fraction: 0.5,
+        ..YcsbSpec::tiny()
+    };
+    let kinds = [YcsbKind::ReadHomed, YcsbKind::UpdateLocal];
+    let run = |mode: Mode| ycsb_run(cfg.clone(), spec.clone(), &kinds, 8, None, 0x0B5, mode);
+    let strict = run(Mode::Strict);
+    assert!(strict.machine.committed > 0, "workload must commit");
+    assert_identical(
+        &strict,
+        &run(Mode::Par(threads)),
+        &format!("{threads} threads"),
+    );
+}
+
+/// The coordinator's host-time split telescopes: its five parts sum
+/// exactly to the epoch phases' wall time. Serial runs leave it zero.
+#[test]
+fn epoch_host_time_parts_sum_to_total() {
+    let run = |mode: Mode| {
+        let mut y = YcsbBionic::build(BionicConfig::small(4), YcsbSpec::tiny(), 4);
+        apply(&mut y.machine, mode);
+        let size = y.block_size(YcsbKind::ReadHomed);
+        let mut rng = YcsbBionic::rng(0x5917);
+        for w in 0..4 {
+            let mut pool = BlockPool::new(&mut y.machine, w, 12, size);
+            for _ in 0..12 {
+                let blk = pool.take();
+                y.submit_txn(w, blk, YcsbKind::ReadHomed, &mut rng);
+            }
+        }
+        y.machine.run_to_quiescence();
+        y.machine.epoch_host_time()
+    };
+    assert_eq!(
+        run(Mode::Fast),
+        EpochHostTime::default(),
+        "serial runs leave it zero"
+    );
+    for mode in [Mode::Par(2), Mode::Par(4)] {
+        let host = run(mode);
+        assert!(host.total_ns > 0, "{mode:?}: epoch phases ran");
+        assert_eq!(
+            host.parts_ns().iter().sum::<u64>(),
+            host.total_ns,
+            "{mode:?}: parts must sum to the total: {host:?}"
+        );
+    }
 }
 
 /// TPC-C NewOrder/Payment mix across four partitions.
