@@ -73,21 +73,14 @@ impl JsonOut {
         ));
     }
 
+    /// The `--json` path, if given.
+    pub fn path(&self) -> Option<&str> {
+        self.path.as_deref()
+    }
+
     /// Serialize the collected rows into the full document.
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"bin\":\"");
-        out.push_str(&bionicdb_fpga::obs::json_escape(&self.bin));
-        out.push_str("\",\"rows\":[");
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(r);
-        }
-        out.push_str("]}");
-        out.push('\n');
-        out
+        document(&self.bin, &self.rows)
     }
 
     /// Serialize the collected rows and write them to the `--json` path.
@@ -103,6 +96,18 @@ impl JsonOut {
         }
         println!("\nwrote {path}");
     }
+}
+
+/// The `--json` document for `bin`: `{"bin":…,"rows":[…]}` plus a
+/// newline. [`JsonOut::render`] is this over the collected rows.
+pub fn document(bin: &str, rows: &[String]) -> String {
+    let mut out = String::with_capacity(1024);
+    out.push_str("{\"bin\":\"");
+    out.push_str(&bionicdb_fpga::obs::json_escape(bin));
+    out.push_str("\",\"rows\":[");
+    out.push_str(&rows.join(","));
+    out.push_str("]}\n");
+    out
 }
 
 /// Validate that `s` is one syntactically well-formed JSON value (the

@@ -10,7 +10,7 @@
 //!   over any [`bionicdb_workloads::Workload`]. The legacy entry points
 //!   ([`bionic_ycsb_tput`], [`bionic_tpcc_tput`], …) are thin adapters and
 //!   remain bit-identical to the pre-ABI hand-rolled loops (pinned by the
-//!   `workloadcheck` goldens);
+//!   `goldencheck` workload golden);
 //! * [`silo_model_tput`] — the equivalent single runner for the Silo
 //!   baseline under the Xeon cache/timing model, scaled to a core count
 //!   with a calibrated multi-socket efficiency factor.
@@ -19,6 +19,7 @@
 
 pub mod batchbench;
 pub mod chaos;
+pub mod golden;
 pub mod history;
 pub mod json;
 pub mod serve;

@@ -1011,7 +1011,7 @@ impl Machine {
     /// Request fleet-mode simulation: `run_to_quiescence` forks `n` chip
     /// processes (lazily, at its first call) and coordinates them over the
     /// fleet transport — bit-for-bit identical to the in-process engines
-    /// (enforced by `fleetcheck`). `0` or `1` disables fleet mode. Must be
+    /// (enforced by `goldencheck --group fleet`). `0` or `1` disables fleet mode. Must be
     /// called from a single-threaded process (forking), and before the
     /// first fleet run; machine configuration (fault plans, trace sinks,
     /// procedure uploads) must be complete before that run spawns.

@@ -26,9 +26,8 @@
 //! chip  -> coord PhaseEnd links + stats slices + lane activity
 //! ```
 //!
-//! Everything crossing the boundary uses the [`Wire`] codec; the transport
-//! is either a pair of shared-memory SPSC rings per chip (default) or a
-//! Unix socket pair (`BIONICDB_FLEET_TRANSPORT=socket`).
+//! Everything crossing the boundary uses the [`Wire`] codec over a pair of
+//! shared-memory SPSC rings per chip.
 //!
 //! # Bit-identity argument
 //!
@@ -68,9 +67,9 @@
 //!   one more round) and by finishing every lane *through* the crash
 //!   cycle before latching the crash.
 //!
-//! `scripts/check.sh`'s `fleetcheck` gate asserts the contract end to end:
-//! full `MachineReport` JSON from a fleet run diffs byte-for-byte against
-//! the in-process engine on fixed seeds.
+//! `scripts/check.sh`'s `goldencheck --group fleet` gate asserts the
+//! contract end to end: full `MachineReport` JSON from a fleet run diffs
+//! byte-for-byte against the in-process engine on fixed seeds.
 //!
 //! # Process-model caveats
 //!
@@ -83,9 +82,7 @@
 //! a hung-protocol panic rather than silent divergence), and are reaped by
 //! [`Fleet`]'s `Drop`.
 
-use std::io::{Read as _, Write as _};
 use std::ops::Range;
-use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bionicdb_fpga::dram::WriteJournal;
@@ -329,83 +326,48 @@ mod shm {
 }
 
 // ---------------------------------------------------------------------------
-// channel: length-prefixed frames over rings or a socket pair
+// channel: length-prefixed frames over a pair of shared-memory rings
 
-/// One end of a coordinator<->chip channel. Frames are `u32` (LE) length
+/// One end of a coordinator<->chip channel: two SPSC rings (one per
+/// direction) in pre-fork shared mappings. Frames are `u32` (LE) length
 /// prefixed [`Wire`] messages.
-enum Chan {
-    /// Two SPSC rings (one per direction) in pre-fork shared mappings.
-    Shm { tx: shm::Ring, rx: shm::Ring },
-    /// A `socketpair(2)` stream — the fallback transport, selected with
-    /// `BIONICDB_FLEET_TRANSPORT=socket`.
-    Socket(UnixStream),
+struct Chan {
+    tx: shm::Ring,
+    rx: shm::Ring,
 }
 
 impl Chan {
     /// Build a connected (coordinator, chip) pair. Must be called before
-    /// `fork` so both processes share the underlying transport.
+    /// `fork` so both processes share the underlying mappings.
     fn pair() -> (Chan, Chan) {
-        match std::env::var("BIONICDB_FLEET_TRANSPORT").as_deref() {
-            Ok("socket") => {
-                let (a, b) = UnixStream::pair().expect("socketpair for fleet transport");
-                (Chan::Socket(a), Chan::Socket(b))
-            }
-            Ok("shm") | Err(_) => {
-                let ab = shm::Ring::alloc();
-                let ba = shm::Ring::alloc();
-                (Chan::Shm { tx: ab, rx: ba }, Chan::Shm { tx: ba, rx: ab })
-            }
-            Ok(other) => panic!("unknown BIONICDB_FLEET_TRANSPORT {other:?} (shm|socket)"),
-        }
+        let ab = shm::Ring::alloc();
+        let ba = shm::Ring::alloc();
+        (Chan { tx: ab, rx: ba }, Chan { tx: ba, rx: ab })
     }
 
     /// Send one frame, blocking until fully written.
     fn send(&mut self, msg: &[u8]) {
         let len = u32::try_from(msg.len()).expect("fleet message fits in u32");
-        match self {
-            Chan::Shm { tx, .. } => {
-                tx.push(&len.to_le_bytes());
-                tx.push(msg);
-            }
-            Chan::Socket(s) => {
-                s.write_all(&len.to_le_bytes()).expect("fleet socket send");
-                s.write_all(msg).expect("fleet socket send");
-            }
-        }
+        self.tx.push(&len.to_le_bytes());
+        self.tx.push(msg);
     }
 
     /// Receive one frame, blocking until fully read.
     fn recv(&mut self) -> Vec<u8> {
         let mut hdr = [0u8; 4];
-        match self {
-            Chan::Shm { rx, .. } => {
-                rx.pop_into(&mut hdr);
-                let mut buf = vec![0u8; u32::from_le_bytes(hdr) as usize];
-                rx.pop_into(&mut buf);
-                buf
-            }
-            Chan::Socket(s) => {
-                s.read_exact(&mut hdr).expect("fleet socket recv");
-                let mut buf = vec![0u8; u32::from_le_bytes(hdr) as usize];
-                s.read_exact(&mut buf).expect("fleet socket recv");
-                buf
-            }
-        }
+        self.rx.pop_into(&mut hdr);
+        let mut buf = vec![0u8; u32::from_le_bytes(hdr) as usize];
+        self.rx.pop_into(&mut buf);
+        buf
     }
 
     /// Best-effort send for shutdown paths: never blocks indefinitely,
     /// never panics. Returns false when the frame could not be delivered.
     fn send_best_effort(&mut self, msg: &[u8]) -> bool {
-        let len = (msg.len() as u32).to_le_bytes();
-        match self {
-            Chan::Shm { tx, .. } => {
-                let mut frame = Vec::with_capacity(4 + msg.len());
-                frame.extend_from_slice(&len);
-                frame.extend_from_slice(msg);
-                tx.try_push(&frame, 10_000)
-            }
-            Chan::Socket(s) => s.write_all(&len).is_ok() && s.write_all(msg).is_ok(),
-        }
+        let mut frame = Vec::with_capacity(4 + msg.len());
+        frame.extend_from_slice(&(msg.len() as u32).to_le_bytes());
+        frame.extend_from_slice(msg);
+        self.tx.try_push(&frame, 10_000)
     }
 }
 
@@ -1276,13 +1238,10 @@ mod tests {
     /// The ring transport works in-process too (threads instead of forked
     /// processes share the mapping just as well), which is how it can be
     /// unit-tested under the multi-threaded cargo harness — whole-fleet
-    /// tests live in single-threaded binaries (`fleetcheck`, `chaos`).
+    /// tests live in single-threaded binaries (`goldencheck`, `chaos`).
     #[test]
     fn shm_chan_streams_frames_larger_than_the_ring() {
-        // Cross-wire manually (Chan::pair consults the env; build explicit).
-        let (a, b) = (shm::Ring::alloc(), shm::Ring::alloc());
-        let mut coord_end = Chan::Shm { tx: a, rx: b };
-        let mut chip_end = Chan::Shm { tx: b, rx: a };
+        let (mut coord_end, mut chip_end) = Chan::pair();
 
         let big: Vec<u8> = (0..(3 * shm::RING_CAP + 17))
             .map(|i| (i * 31 % 251) as u8)
@@ -1302,20 +1261,35 @@ mod tests {
     }
 
     #[test]
-    fn socket_chan_roundtrips_frames() {
-        let (sa, sb) = UnixStream::pair().unwrap();
-        let mut a = Chan::Socket(sa);
-        let mut b = Chan::Socket(sb);
-        let msg: Vec<u8> = (0..100_000).map(|i| (i % 256) as u8).collect();
-        let expect = msg.clone();
-        let t = std::thread::spawn(move || {
-            let got = b.recv();
-            b.send(&got);
-            got
-        });
-        a.send(&msg);
-        assert_eq!(a.recv(), expect);
-        assert_eq!(t.join().unwrap(), expect);
+    fn try_push_delivers_a_fitting_frame_intact_across_the_wrap() {
+        let ring = shm::Ring::alloc();
+        // Advance both counters to just short of the buffer end, so the
+        // next frame straddles the wrap.
+        let lead = vec![7u8; shm::RING_CAP - 10];
+        ring.push(&lead);
+        let mut sink = vec![0u8; lead.len()];
+        ring.pop_into(&mut sink);
+
+        let frame: Vec<u8> = (0..100u8).collect();
+        assert!(ring.try_push(&frame, 1));
+        let mut got = vec![0u8; frame.len()];
+        ring.pop_into(&mut got);
+        assert_eq!(got, frame);
+    }
+
+    #[test]
+    fn try_push_gives_up_on_a_full_ring_with_no_consumer() {
+        let ring = shm::Ring::alloc();
+        ring.push(&vec![1u8; shm::RING_CAP - 4]);
+        assert!(!ring.try_push(&[2u8; 5], 3), "5 bytes do not fit in 4 free");
+        assert!(ring.try_push(&[3u8; 4], 3), "4 bytes fit exactly");
+        assert!(!ring.try_push(&[4u8], 3), "the ring is now full");
+    }
+
+    #[test]
+    #[should_panic(expected = "try_push frame exceeds ring")]
+    fn try_push_rejects_a_frame_larger_than_the_ring() {
+        shm::Ring::alloc().try_push(&vec![0u8; shm::RING_CAP + 1], 1);
     }
 
     #[test]
